@@ -144,6 +144,14 @@ class CustomSpectrum:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_at(sigma, e):
+    """PSF width at energy e, for a constant or callable sigma(E)."""
+    s = np.asarray(sigma(e) if callable(sigma) else sigma, dtype=float)
+    if np.any(s <= 0):
+        raise ValueError("sigma(E) must be positive")
+    return s
+
+
 @dataclass(frozen=True)
 class GaussianPsfAngle:
     """Radial density of a bivariate circular Gaussian PSF, truncated at r_max.
@@ -156,26 +164,19 @@ class GaussianPsfAngle:
     sigma: object
     r_max: float
 
-    def _sigma(self, e):
-        s = self.sigma(e) if callable(self.sigma) else self.sigma
-        s = np.asarray(s, dtype=float)
-        if np.any(s <= 0):
-            raise ValueError("sigma(E) must be positive")
-        return s
-
     def _mass(self, s):
         return -np.expm1(-self.r_max**2 / (2.0 * s * s))
 
     def pdf(self, phi, e):
         phi = np.asarray(phi, dtype=float)
-        s = self._sigma(e)
+        s = _sigma_at(self.sigma, e)
         inside = (phi >= 0) & (phi <= self.r_max)
         vals = phi / (s * s) * np.exp(-(phi * phi) / (2.0 * s * s)) / self._mass(s)
         return np.where(inside, vals, 0.0)
 
     def sample(self, rng, e):
         e = np.asarray(e, dtype=float)
-        s = self._sigma(e)
+        s = _sigma_at(self.sigma, e)
         u = rng.uniform(size=e.shape)
         return np.sqrt(-2.0 * s * s * np.log1p(-u * self._mass(s)))
 
@@ -298,13 +299,6 @@ class DiskGeometry:
     def theta(self):
         return self.alpha_rate / self.mu
 
-    def sigma_at(self, e):
-        s = self.sigma(e) if callable(self.sigma) else self.sigma
-        s = np.asarray(s, dtype=float)
-        if np.any(s <= 0):
-            raise ValueError("sigma(E) must be positive")
-        return s
-
     def density_pair(self, source_spectrum=None, background_spectrum=None):
         """AuxDensityPair with Gaussian-PSF source and uniform-disc background."""
         src = source_spectrum if source_spectrum is not None else FlatSpectrum(0.1, 10.0)
@@ -361,21 +355,37 @@ def constant_weight(c):
     )
 
 
-def optimal_weight(z, theta, densities):
-    """Posterior probability that an event at z = (E, phi) is from the source."""
-    e, phi = z
-    fs = densities.pdf_source(e, phi)
-    fb = densities.pdf_background(e, phi)
+# Posterior weights are built at theta >= _THETA_FLOOR.  At a theta MLE of 0
+# they would vanish everywhere; at the floor they stay proportional to
+# f_S / f_B, and the test statistic's p-value does not depend on their scale.
+_THETA_FLOOR = 1e-12
+
+
+def _weight_theta(theta):
+    if not 0 <= theta <= 1:
+        raise ValueError("theta must be in [0, 1]")
+    return max(theta, _THETA_FLOOR)
+
+
+def _posterior(theta, fs, fb):
+    """theta f_S / ((1 - theta) f_B + theta f_S), the source probability."""
     denom = (1.0 - theta) * fb + theta * fs
     if np.any(denom <= 0):
         raise ValueError("z outside support of both densities")
-    out = theta * fs / denom
+    return theta * fs / denom
+
+
+def optimal_weight(z, theta, densities):
+    """Posterior probability that an event at z = (E, phi) is from the source."""
+    e, phi = z
+    out = _posterior(theta, densities.pdf_source(e, phi),
+                     densities.pdf_background(e, phi))
     return out if np.ndim(out) else float(out)
 
 
 def optimal_weight_fn(theta, densities):
-    if not 0 < theta <= 1:
-        raise ValueError("theta must be in (0, 1]")
+    """optimal_weight as a WeightFunction; theta in [0, 1], floored at 1e-12."""
+    theta = _weight_theta(theta)
     return WeightFunction(
         "optimal",
         lambda e, phi: optimal_weight((e, phi), theta, densities),
@@ -385,22 +395,20 @@ def optimal_weight_fn(theta, densities):
 
 def optimal_no_spectrum_fn(theta, densities):
     """Optimal weight from angle conditionals only (energy spectra unknown)."""
-    if not 0 < theta <= 1:
-        raise ValueError("theta must be in (0, 1]")
+    theta = _weight_theta(theta)
 
     def fn(e, phi):
-        fs = densities.source_angle.pdf(phi, e)
-        fb = densities.background_angle.pdf(phi, e)
-        denom = (1.0 - theta) * fb + theta * fs
-        if np.any(denom <= 0):
-            raise ValueError("z outside support of both densities")
-        return theta * fs / denom
+        return _posterior(theta, densities.source_angle.pdf(phi, e),
+                          densities.background_angle.pdf(phi, e))
 
     return WeightFunction("optimal-no-spectrum", fn, {"theta": theta})
 
 
 def psf_gaussian_weight(e, phi, geom, spectra=None):
-    """Closed-form disc weight 1 / (1 + beta sigma(E) exp(phi^2 / 2 sigma^2)).
+    """Closed-form disc weight 1 / (1 + beta sigma(E)^2 exp(phi^2 / 2 sigma^2)).
+
+    This is the posterior source probability of the densities that
+    geom.density_pair() builds, up to their truncated PSF mass.
 
     With (f_S(E), f_B(E)) spectra supplied, the spectral ratio multiplies the
     background term.  Evaluated in log space so large angles underflow to 0
@@ -409,8 +417,8 @@ def psf_gaussian_weight(e, phi, geom, spectra=None):
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 0):
         raise ValueError("incidence angle must be nonnegative")
-    s = geom.sigma_at(e)
-    log_bg = np.log(geom.beta * s) + phi * phi / (2.0 * s * s)
+    var = _sigma_at(geom.sigma, e) ** 2
+    log_bg = np.log(geom.beta * var) + phi * phi / (2.0 * var)
     if spectra is not None:
         f_s, f_b = spectra
         fs = np.asarray(f_s(np.asarray(e, dtype=float)), dtype=float)
@@ -516,21 +524,21 @@ def weight_efficiency(m, theta):
     return m.zeta1**2 / denom
 
 
+def _optimal_or_zero(e, p, theta, densities):
+    """optimal_weight at a quadrature point; 0 where both densities vanish."""
+    try:
+        return optimal_weight((e, p), theta, densities)
+    except ValueError:
+        return 0.0
+
+
 def optimal_efficiency(theta, densities):
     """Efficiency of the posterior-probability weight, by direct quadrature."""
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
-
-    def integrand(e, p):
-        fs = float(densities.source_energy.pdf(e)) * float(
-            densities.source_angle.pdf(p, e))
-        fb = float(densities.background_energy.pdf(e)) * float(
-            densities.background_angle.pdf(p, e))
-        denom = (1.0 - theta) * fb + theta * fs
-        return 0.0 if denom <= 0 else theta * fs / denom
-
-    val = _component_expectation(integrand, densities.source_energy,
-                                 densities.source_angle)
+    val = _component_expectation(
+        lambda e, p: _optimal_or_zero(e, p, theta, densities),
+        densities.source_energy, densities.source_angle)
     return val / theta
 
 
@@ -541,14 +549,6 @@ def correlation_efficiency(w, theta, densities):
     theta^2; algebraically identical to weight_efficiency.
     """
 
-    def w_opt(e, p):
-        fs = float(densities.source_energy.pdf(e)) * float(
-            densities.source_angle.pdf(p, e))
-        fb = float(densities.background_energy.pdf(e)) * float(
-            densities.background_angle.pdf(p, e))
-        denom = (1.0 - theta) * fb + theta * fs
-        return 0.0 if denom <= 0 else theta * fs / denom
-
     def marginal_expectation(fn):
         bg = _component_expectation(fn, densities.background_energy,
                                     densities.background_angle)
@@ -556,7 +556,8 @@ def correlation_efficiency(w, theta, densities):
                                      densities.source_angle)
         return (1.0 - theta) * bg + theta * src
 
-    e_wwopt = marginal_expectation(lambda e, p: w(e, p) * w_opt(e, p))
+    e_wwopt = marginal_expectation(
+        lambda e, p: w(e, p) * _optimal_or_zero(e, p, theta, densities))
     e_w2 = marginal_expectation(lambda e, p: w(e, p) ** 2)
     if e_w2 <= 0:
         raise ValueError("degenerate weight")

@@ -6,6 +6,7 @@ output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +73,7 @@ def cmd_simulate(args):
     eventio.write_events(out, events, header_comment="seed=%d" % args.seed)
     print(json.dumps({
         "n_events": len(events),
-        "mu0_T": model.mu0 * model.T,
+        "mu0_T": simulator.expected_count(model),
         "theta": model.theta,
         "out": out,
     }))
@@ -80,20 +81,19 @@ def cmd_simulate(args):
 
 
 def _resolve_weights(cfg, events, file_weights):
-    """Per-event weights plus the theta actually used, honoring the config."""
+    """Per-event weights plus the theta they use (None if none), per the config."""
     kind = cfg.weight_kind()
     if kind == "precomputed":
         if file_weights is None:
             raise ConfigError("weight.kind",
                               "'precomputed' needs a weight column in the file")
-        return np.asarray(file_weights, dtype=float), float("nan")
+        return np.asarray(file_weights, dtype=float), None
     theta = cfg.detect_theta()
     if kind in ("optimal", "optimal-no-spectrum") and theta is None:
         theta = detector.estimate_theta(events, cfg.densities())
         _err("theta MLE: %.6f" % theta)
     wf = cfg.weight(theta=theta)
-    w = np.asarray(wf(events.energy, events.angle), dtype=float)
-    return w, (theta if theta is not None else float("nan"))
+    return np.asarray(wf(events.energy, events.angle), dtype=float), theta
 
 
 def cmd_detect(args):
@@ -102,16 +102,8 @@ def cmd_detect(args):
     template = cfg.template()
     model = cfg.model()
     events, file_weights = eventio.read_events(args.events)
-    w, theta_used = _resolve_weights(cfg, events, file_weights)
-    if not np.any(w > 0):
-        raise ValueError("no weighted events")
-    an = detector.fourier_coefficients(events, w, phase, template.m)
-    qt = detector.qt_statistic(an, template, model.T)
-    sum_w2 = float(np.sum(w * w))
-    p = detector.p_value(qt, sum_w2, template, model.T)
-    result = detector.DetectionResult(
-        an_sq=np.abs(an) ** 2, qt=qt, sum_w2=sum_w2, p_value=p,
-        theta_used=theta_used, n_events=len(events))
+    w, theta = _resolve_weights(cfg, events, file_weights)
+    result = detector.detect(events, w, phase, template, theta=theta, T=model.T)
     print(result.to_json())
     return 0
 
@@ -163,17 +155,11 @@ def cmd_power(args):
     return 0
 
 
-def _null_model(cfg):
-    model = cfg.model()
-    return simulator.RateModel(
-        mu=model.mu, theta=model.theta,
-        profile=lightcurve.LightCurveProfile.constant(),
-        phase=model.phase, T=model.T, sensitivity=model.sensitivity)
-
-
 def _calibrate_chunk(doc, seed, start, stop, replicates):
     cfg = Config(doc)
-    model = _null_model(cfg)
+    # the null hypothesis: the configured model with a constant light curve
+    model = dataclasses.replace(cfg.model(),
+                                profile=lightcurve.LightCurveProfile.constant())
     densities = cfg.densities()
     phase = cfg.phase()
     template = cfg.template()
@@ -185,13 +171,10 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
     pvals, scaled, qts = [], [], []
     for i in range(start, stop):
         ev = simulator.simulate(model, densities, tau=0.0, seed=children[i])
-        w = np.asarray(wf(ev.energy, ev.angle), dtype=float)
-        sum_w2 = float(np.sum(w * w))
-        an = detector.fourier_coefficients(ev, w, phase, template.m)
-        qt = detector.qt_statistic(an, template, model.T)
-        pvals.append(detector.p_value(qt, sum_w2, template, model.T))
-        scaled.append(2.0 * np.abs(an) ** 2 / sum_w2)
-        qts.append(qt)
+        r = detector.detect(ev, wf, phase, template, theta=theta, T=model.T)
+        pvals.append(r.p_value)
+        scaled.append(2.0 * r.an_sq / r.sum_w2)
+        qts.append(r.qt)
     return pvals, scaled, qts
 
 

@@ -47,6 +47,7 @@ class Config:
         if not isinstance(doc, dict):
             raise ConfigError("<root>", "config must be a JSON object")
         self.doc = doc
+        self._densities = None
 
     # -- sections -----------------------------------------------------------
 
@@ -170,6 +171,9 @@ class Config:
             raise ConfigError("densities.geometry", str(exc))
 
     def densities(self):
+        """The AuxDensityPair, built (and its normalization checked) once."""
+        if self._densities is not None:
+            return self._densities
         sec = _get(self.doc, "densities", "densities", required=True)
         geom = self.geometry()
         src = _get(sec, "source_spectrum", "densities.source_spectrum")
@@ -177,15 +181,18 @@ class Config:
         src_spec = self._spectrum(src, "densities.source_spectrum") if src else None
         bkg_spec = self._spectrum(bkg, "densities.background_spectrum") if bkg else src_spec
         try:
-            return geom.density_pair(src_spec, bkg_spec)
+            self._densities = geom.density_pair(src_spec, bkg_spec)
         except ValueError as exc:
             raise ConfigError("densities", str(exc))
+        return self._densities
 
     def weight(self, theta=None):
         """Build the configured WeightFunction.
 
         Returns None for kind 'precomputed' (the caller takes weights from the
-        event file).  theta overrides the configured weight theta.
+        event file), and for the optimal kinds when no theta is configured or
+        given (the caller resolves it from the theta MLE).  theta overrides
+        the configured weight theta.
         """
         sec = _get(self.doc, "weight", "weight", default={"kind": "unit"})
         kind = _get(sec, "kind", "weight.kind", default="unit")
@@ -211,13 +218,9 @@ class Config:
         if kind == "psf-gaussian":
             return auxmodel.psf_gaussian_weight_fn(self.geometry())
         if kind in ("optimal", "optimal-no-spectrum"):
-            th = theta
-            if th is None and "theta" in sec:
-                th = _value(sec["theta"], "weight.theta")
+            th = self.detect_theta() if theta is None else theta
             if th is None:
-                return None  # resolved later from the theta MLE
-            if not 0 < th <= 1:
-                raise ConfigError("weight.theta", "must lie in (0, 1]")
+                return None
             build = (auxmodel.optimal_weight_fn if kind == "optimal"
                      else auxmodel.optimal_no_spectrum_fn)
             return build(th, self.densities())
@@ -254,7 +257,6 @@ class Config:
                 fdot=fdot,
                 oversample=_value(_get(sec, "oversample", "scan.oversample",
                                        default=10.0), "scan.oversample"),
-                m=int(_value(_get(sec, "m", "scan.m", default=10), "scan.m")),
                 max_points=int(_value(_get(sec, "max_points", "scan.max_points",
                                            default=10**7), "scan.max_points")),
             )

@@ -214,20 +214,23 @@ def _imhof_sf(q, lam):
 def weighted_chi2_sf(q, lam):
     """P(sum_r lam_r X_r > q) for X_r iid chi-square(2), lam_r > 0.
 
-    Closed forms for a single coefficient and for all-equal coefficients;
-    Imhof integration otherwise.
+    q may be a scalar or an array; the result has its shape.  Closed forms for
+    a single coefficient and for all-equal coefficients; Imhof integration,
+    one value at a time, otherwise.
     """
     lam = np.asarray(lam, dtype=float)
     lam = lam[lam > 0]
     if lam.size == 0:
         raise ValueError("all coefficients zero")
-    if q <= 0:
-        return 1.0
+    q = np.asarray(q, dtype=float)
     if lam.size == 1:
-        return float(np.exp(-q / (2.0 * lam[0])))
-    if np.ptp(lam) <= 1e-12 * lam[0]:
-        return float(chi2.sf(q / lam[0], df=2 * lam.size))
-    return float(min(1.0, max(0.0, _imhof_sf(q, lam))))
+        p = np.minimum(1.0, np.exp(-q / (2.0 * lam[0])))
+    elif np.ptp(lam) <= 1e-12 * lam[0]:
+        p = chi2.sf(q / lam[0], df=2 * lam.size)
+    else:
+        p = np.array([1.0 if x <= 0 else _imhof_sf(x, lam) for x in q.flat])
+        p = np.clip(p, 0.0, 1.0).reshape(q.shape)
+    return p if p.ndim else float(p)
 
 
 def p_value(qt, sum_w2, template, T):
@@ -246,9 +249,10 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
            T=None):
     """Full pipeline: weights -> A_n -> Q_T -> p-value.
 
+    weight_fn: a function w(E, phi), an array of per-event weights, or None
+    for the optimal posterior weight built from (theta_used, densities).
     theta: known source fraction, or None to take the MLE from the auxiliary
-    data (requires densities).  weight_fn None means the optimal posterior
-    weight built from (theta_used, densities).
+    data (requires densities).
     """
     if T is None or T <= 0:
         raise ValueError("T must be positive")
@@ -267,10 +271,10 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
     if weight_fn is None:
         if densities is None or not np.isfinite(theta_used):
             raise ValueError("optimal weights need theta (or its MLE) and densities")
-        weight_fn = optimal_weight_fn(max(theta_used, 1e-12), densities)
+        weight_fn = optimal_weight_fn(theta_used, densities)
 
-    e, phi = events.z
-    w = np.asarray(weight_fn(e, phi), dtype=float)
+    w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
+    w = np.asarray(w, dtype=float)
     sum_w2 = _fsum(w * w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import fourier_coefficients
-from .simulator import simulate
+from .lightcurve import PhaseModel
+from .simulator import expected_count, simulate
 
 __all__ = [
     "PowerPrediction",
@@ -113,12 +114,14 @@ def threshold_theta(T, mu0, eff_w, template, source, target_snr):
     return float(np.sqrt(target_snr / (T * mu0 * eff_w * match)))
 
 
-def _mean_an_power(model, densities, phase_used, n, tau, replicates, seed):
-    """Mean |A_n|^2 and its standard error over simulated replicates.
+def _excess(model, densities, n, delta, mode, replicates, seed, tau):
+    """Mean |A_n|^2 excess over the null level, and its Monte Carlo stderr.
 
     Events are simulated from the model's own (true) phase and analyzed at
-    phase_used; unit weights.
+    the phase offset by delta; unit weights, so the null E|A_n|^2 is the
+    expected event count.
     """
+    phase_used = _offset_phase(model.phase, delta, model.T, mode)
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(replicates)
     powers = np.empty(replicates)
@@ -127,7 +130,8 @@ def _mean_an_power(model, densities, phase_used, n, tau, replicates, seed):
         w = np.ones(len(ev))
         an = fourier_coefficients(ev, w, phase_used, n)
         powers[i] = np.abs(an[n - 1]) ** 2
-    return float(np.mean(powers)), float(np.std(powers, ddof=1) / np.sqrt(replicates))
+    se = float(np.std(powers, ddof=1) / np.sqrt(replicates))
+    return float(np.mean(powers)) - expected_count(model), se
 
 
 def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
@@ -139,49 +143,37 @@ def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
     f = f0 + Delta/T (and fdot = fdot0 + Delta/T^2 in f-and-fdot mode), and
     divides by the Delta = 0 excess.  Quadratic-fit mode fits
     1 - kappa (n Delta)^2 to empirical factors at small offsets and evaluates
-    the fit at Delta.
+    the fit at Delta.  Delta = 0 gives 1 in both modes, by definition.
     """
     if abs(delta) >= 1.0:
         raise ValueError("outside regime: need |Delta| < 1")
     if mode not in ("f-only", "f-and-fdot"):
         raise ValueError("unknown mode %r" % mode)
+    if via not in ("empirical", "quadratic-fit"):
+        raise ValueError("unknown via %r" % via)
+    if delta == 0.0:
+        return 1.0
     if via == "quadratic-fit":
         kappa, _ = fit_mismatch_kappa(model, densities, n, mode=mode,
                                       replicates=replicates, seed=seed, tau=tau)
         return max(0.0, 1.0 - kappa * (n * delta) ** 2)
-    if via != "empirical":
-        raise ValueError("unknown via %r" % via)
-
-    excess0 = _signal_excess(model, densities, n, 0.0, mode, replicates, seed, tau)
-    if delta == 0.0:
-        return 1.0
-    excess = _signal_excess(model, densities, n, delta, mode, replicates, seed, tau)
+    excess0, _ = _excess(model, densities, n, 0.0, mode, replicates, seed, tau)
+    excess, _ = _excess(model, densities, n, delta, mode, replicates, seed, tau)
     return excess / excess0
 
 
 def _offset_phase(phase, delta, T, mode):
-    from .lightcurve import PhaseModel
-
     fdot = phase.fdot + (delta / T**2 if mode == "f-and-fdot" else 0.0)
     return PhaseModel(f=phase.f + delta / T, fdot=fdot, epoch=phase.epoch)
-
-
-def _signal_excess(model, densities, n, delta, mode, replicates, seed, tau):
-    phase_used = _offset_phase(model.phase, delta, model.T, mode)
-    mean_power, _ = _mean_an_power(model, densities, phase_used, n, tau,
-                                   replicates, seed)
-    # unit weights: null E|A_n|^2 = expected event count
-    null_level = model.mu0 * model.T
-    return mean_power - null_level
 
 
 def fit_mismatch_kappa(model, densities, n, mode="f-only", replicates=400,
                        seed=0, tau=0.0, deltas=(0.05, 0.1, 0.15, 0.2)):
     """Least-squares kappa in factor(Delta) = 1 - kappa (n Delta)^2."""
-    excess0 = _signal_excess(model, densities, n, 0.0, mode, replicates, seed, tau)
+    excess0, _ = _excess(model, densities, n, 0.0, mode, replicates, seed, tau)
     x, y = [], []
     for d in deltas:
-        f = _signal_excess(model, densities, n, d, mode, replicates, seed, tau)
+        f, _ = _excess(model, densities, n, d, mode, replicates, seed, tau)
         x.append((n * d) ** 2)
         y.append(1.0 - f / excess0)
     x = np.asarray(x)
@@ -197,23 +189,16 @@ def mismatch_scan(model, densities, harmonics, deltas, mode="f-only",
     """Table of (n, Delta, factor, mc_stderr) rows over a grid of offsets."""
     rows = []
     for n in harmonics:
-        base, base_se = _excess_with_se(model, densities, n, 0.0, mode,
-                                        replicates, seed, tau)
+        base, base_se = _excess(model, densities, n, 0.0, mode, replicates,
+                                seed, tau)
         for d in deltas:
             if d == 0.0:
                 rows.append((n, d, 1.0, 0.0))
                 continue
-            exc, se = _excess_with_se(model, densities, n, d, mode,
-                                      replicates, seed, tau)
+            exc, se = _excess(model, densities, n, d, mode, replicates, seed,
+                              tau)
             factor = exc / base
             stderr = abs(factor) * np.hypot(se / exc if exc else np.inf,
                                             base_se / base)
             rows.append((n, d, factor, stderr))
     return rows
-
-
-def _excess_with_se(model, densities, n, delta, mode, replicates, seed, tau):
-    phase_used = _offset_phase(model.phase, delta, model.T, mode)
-    mean_power, se = _mean_an_power(model, densities, phase_used, n, tau,
-                                    replicates, seed)
-    return mean_power - model.mu0 * model.T, se

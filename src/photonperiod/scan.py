@@ -1,8 +1,9 @@
 """Frequency-grid evaluation of Q_T.
 
-The grid step is 1 / (oversample * m * T) so the phase error of the highest
-retained harmonic between adjacent grid points stays below one cycle
-(|m Delta| < 1 for Delta the offset in units of 1/T).
+The grid step is 1 / (oversample * m * T), m the template's harmonic count,
+so the phase error of the highest retained harmonic between adjacent grid
+points stays below one cycle (|m Delta| < 1 for Delta the offset in units of
+1/T).
 
 A_n along the grid is computed by progressive phasor rotation: one complex
 multiply per event per grid point instead of a fresh exponential, which keeps
@@ -12,7 +13,6 @@ a 1e4-point scan over 1e4 events around a second.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .detector import weighted_chi2_sf
 from .lightcurve import PhaseModel
@@ -28,7 +28,6 @@ class ScanSpec:
     f_hi: float
     fdot: object = 0.0  # fixed value, or (fdot_lo, fdot_hi, steps)
     oversample: float = 10.0
-    m: int = 10
     max_points: int = _DEFAULT_MAX_POINTS
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class ScanSpec:
             raise ValueError("need f_lo < f_hi")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
     def fdot_values(self):
         if np.isscalar(self.fdot):
@@ -56,7 +53,8 @@ class ScanResult:
 
     @property
     def best(self):
-        i = int(np.argmin(self.p))
+        """The max-Q_T point; p is non-increasing in Q_T over one grid."""
+        i = int(np.argmax(self.qt))
         return {
             "f": float(self.f[i]),
             "fdot": float(self.fdot[i]),
@@ -66,22 +64,11 @@ class ScanResult:
         }
 
 
-def frequency_grid(spec, T):
-    step = 1.0 / (spec.oversample * spec.m * T)
+def frequency_grid(spec, T, m):
+    """Frequencies f_lo + k / (oversample m T) up to f_hi, m harmonics."""
+    step = 1.0 / (spec.oversample * m * T)
     n = int(np.floor((spec.f_hi - spec.f_lo) / step)) + 1
     return spec.f_lo + step * np.arange(n)
-
-
-def _batch_sf(q, lam):
-    """Vectorized weighted-chi-square survival over many statistic values."""
-    lam = np.asarray(lam, dtype=float)
-    lam = lam[lam > 0]
-    q = np.asarray(q, dtype=float)
-    if lam.size == 1:
-        return np.minimum(1.0, np.exp(-q / (2.0 * lam[0])))
-    if np.ptp(lam) <= 1e-12 * lam[0]:
-        return chi2.sf(q / lam[0], df=2 * lam.size)
-    return np.array([weighted_chi2_sf(float(x), lam) for x in q])
 
 
 def scan(events, weights, template, T, spec, epoch=0.0):
@@ -90,7 +77,7 @@ def scan(events, weights, template, T, spec, epoch=0.0):
     Raw per-point p-values only; the trials count is reported and no
     multiplicity correction is applied.
     """
-    freqs = frequency_grid(spec, T)
+    freqs = frequency_grid(spec, T, template.m)
     fdots = spec.fdot_values()
     total = freqs.size * fdots.size
     if total > spec.max_points:
@@ -130,5 +117,5 @@ def scan(events, weights, template, T, spec, epoch=0.0):
             if k + 1 < freqs.size:
                 base *= rot
 
-    p = _batch_sf(qt * T, amps * sum_w2)
+    p = weighted_chi2_sf(qt * T, amps * sum_w2)
     return ScanResult(f=f_out, fdot=fdot_out, qt=qt, p=p, trials=total)

@@ -77,11 +77,7 @@ class RateModel:
     @property
     def mu0(self):
         """mu times the time-averaged sensitivity."""
-        if self.sensitivity is None:
-            return self.mu
-        integral, _ = integrate.quad(lambda t: float(self.c(t)), 0.0, self.T,
-                                     limit=200)
-        return self.mu * integral / self.T
+        return expected_count(self) / self.T
 
     def nu(self, t, tau=0.0):
         return eval_profile(self.profile, phase_of(self.phase, t) + tau)

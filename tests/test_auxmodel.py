@@ -14,6 +14,7 @@ from photonperiod.auxmodel import (
     cut_weight_fn,
     custom_weight,
     optimal_efficiency,
+    optimal_no_spectrum_fn,
     optimal_weight,
     optimal_weight_fn,
     psf_gaussian_weight,
@@ -91,6 +92,16 @@ class TestOptimalWeight:
         with pytest.raises(ValueError, match="outside support"):
             optimal_weight((1.5, 0.5), 0.25, dens)
 
+    def test_no_spectrum_form_equals_full_form_for_equal_spectra(self):
+        dens = DiskGeometry(R=5.0, rho=0.3, alpha_rate=2.0, sigma=0.7).density_pair(
+            am.PowerLawSpectrum(2.2, 0.5, 8.0))
+        rng = np.random.default_rng(6)
+        e = rng.uniform(0.5, 8.0, 200)
+        phi = rng.uniform(0.0, 5.0, 200)
+        w = optimal_no_spectrum_fn(0.15, dens)(e, phi)
+        assert np.allclose(w, optimal_weight((e, phi), 0.15, dens),
+                           rtol=1e-12, atol=0)
+
 
 class TestPsfGaussianWeight:
     def test_two_sigma_at_xi_one(self):
@@ -118,6 +129,23 @@ class TestPsfGaussianWeight:
         geom = DiskGeometry(R=5.0, rho=1.0, alpha_rate=1.0, sigma=lambda e: -1.0)
         with pytest.raises(ValueError, match="sigma"):
             psf_gaussian_weight(1.0, 0.5, geom)
+
+    def test_posterior_of_disc_densities(self):
+        """The closed form is the posterior of geom.density_pair() at
+        geom.theta, up to the truncated PSF mass (below 4e-6 at sigma <= R/5)."""
+        phi = np.array([0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 3.0])
+        e = np.full_like(phi, 1.0)
+        for sigma in (0.5, 0.8, 1.0):
+            geom = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                                sigma=sigma)
+            inside = phi > 0  # both densities vanish at phi = 0
+            opt = optimal_weight((e[inside], phi[inside]), geom.theta,
+                                 geom.density_pair())
+            w = psf_gaussian_weight(e, phi, geom)
+            assert np.allclose(w[inside], opt, rtol=4e-6, atol=0)
+        geom = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                            sigma=0.5)
+        assert psf_gaussian_weight(1.0, 0.2, geom) == pytest.approx(0.787, abs=5e-4)
 
     def test_no_overflow_at_huge_angle(self):
         geom = DiskGeometry(R=500.0, rho=1 / (2 * np.pi), alpha_rate=1.0, sigma=1.0)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from photonperiod import read_events
+from photonperiod import detect, estimate_theta, read_events, scan, write_events
+from photonperiod.auxmodel import optimal_no_spectrum_fn, optimal_weight_fn
 from photonperiod.cli import main
+from photonperiod.config import Config
 
 
 def base_config(**overrides):
@@ -142,6 +144,84 @@ class TestDetect:
                                     "--events", events])
         assert code == 2
         assert "weight" in err
+
+
+class TestOnePipeline:
+    """detect prints exactly what detector.detect returns on the same events."""
+
+    def _library(self, doc, events, weights, theta=None, densities=None):
+        cfg = Config(doc)
+        return detect(events, weights, cfg.phase(), cfg.template(), theta=theta,
+                      densities=densities, T=cfg.model().T).to_json()
+
+    def _detect(self, tmp_path, capsys, weight, events=None):
+        doc = base_config(weight=weight)
+        cfg = write_config(tmp_path, doc, name="detect.json")
+        if events is None:
+            events = str(tmp_path / "events.csv")
+            run(capsys, ["simulate", "--config", cfg, "--out", events,
+                         "--seed", "8"])
+        code, out, _ = run(capsys, ["detect", "--config", cfg,
+                                    "--events", events])
+        assert code == 0
+        ev, file_weights = read_events(events)
+        return doc, ev, file_weights, out.strip()
+
+    def test_unit_weights(self, tmp_path, capsys):
+        doc, ev, _, out = self._detect(tmp_path, capsys, {"kind": "unit"})
+        assert out == self._library(doc, ev, np.ones(len(ev)))
+
+    def test_optimal_weights_theta_mle(self, tmp_path, capsys):
+        doc, ev, _, out = self._detect(tmp_path, capsys, {"kind": "optimal"})
+        dens = Config(doc).densities()
+        assert out == self._library(doc, ev, None, densities=dens)
+
+    def test_optimal_no_spectrum_theta_mle(self, tmp_path, capsys):
+        doc, ev, _, out = self._detect(tmp_path, capsys,
+                                       {"kind": "optimal-no-spectrum"})
+        dens = Config(doc).densities()
+        theta = estimate_theta(ev, dens)
+        assert out == self._library(doc, ev, optimal_no_spectrum_fn(theta, dens),
+                                    theta=theta)
+
+    def test_precomputed_weights(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        plain = str(tmp_path / "plain.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", plain, "--seed", "8"])
+        ev, _ = read_events(plain)
+        weighted = str(tmp_path / "weighted.csv")
+        write_events(weighted, ev,
+                     weights=np.random.default_rng(1).uniform(0.0, 1.0, len(ev)))
+        doc, ev, w, out = self._detect(tmp_path, capsys,
+                                       {"kind": "precomputed"}, weighted)
+        assert out == self._library(doc, ev, w)
+
+    def test_theta_mle_of_zero(self, tmp_path, capsys):
+        """A source-free file whose theta MLE is 0 still gets weights."""
+        doc = base_config(weight={"kind": "optimal"},
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+        doc["model"]["theta"] = 0.0
+        doc["densities"]["geometry"]["rho"] = 0.159155
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events, "--seed", "2"])
+        ev, _ = read_events(events)
+        config = Config(doc)
+        dens = config.densities()
+        assert estimate_theta(ev, dens) == 0.0
+
+        code, out, err = run(capsys, ["detect", "--config", cfg,
+                                      "--events", events])
+        assert code == 0, err
+        assert out.strip() == self._library(doc, ev, None, densities=dens)
+        assert json.loads(out)["theta_used"] == 0.0
+
+        code, out, err = run(capsys, ["scan", "--config", cfg,
+                                      "--events", events])
+        assert code == 0, err
+        w = optimal_weight_fn(0.0, dens)(*ev.z)
+        res = scan(ev, w, config.template(), 100.0, config.scan_spec(100.0))
+        assert json.loads(out) == res.best
 
 
 class TestScanCommand:

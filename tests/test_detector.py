@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from photonperiod import (
     DetectionResult,
+    EventList,
     HarmonicTemplate,
     LightCurveProfile,
     PhaseModel,
@@ -246,6 +249,13 @@ class TestPValue:
         with pytest.raises(ValueError):
             weighted_chi2_sf(1.0, [0.0, 0.0])
 
+    def test_array_q_matches_scalar(self):
+        qs = np.array([-1.0, 0.0, 0.5, 3.0, 20.0])
+        for lam in ([2.0], [1.5, 1.5, 1.5], [4.0, 2.0, 1.0]):
+            ps = weighted_chi2_sf(qs, lam)
+            assert ps.shape == qs.shape
+            assert ps.tolist() == [weighted_chi2_sf(float(q), lam) for q in qs]
+
     def test_monotone_in_q(self):
         lam = [4.0, 2.0, 1.0]
         qs = np.linspace(0.1, 60, 40)
@@ -323,3 +333,23 @@ class TestDetect:
         doc = json.loads(res.to_json())
         assert doc["qt"] == res.qt
         assert doc["n_events"] == len(ev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_detect_invariant_under_event_permutation(data):
+    """With theta given, detect's sums are exact-rounded (math.fsum), so a
+    permutation of events and weights leaves every output bit-identical."""
+    rows = data.draw(st.lists(
+        st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 1.0)),
+        min_size=1, max_size=60))
+    perm = np.asarray(data.draw(st.permutations(range(len(rows)))))
+    t, w = (np.array(col) for col in zip(*rows))
+    zeros = np.zeros(t.size)
+    tpl = HarmonicTemplate([1.0, 0.5, 0.25])
+    runs = [detect(EventList(t=t[order], energy=zeros, angle=zeros), w[order],
+                   PhaseModel(f=1.3), tpl, theta=0.2, T=100.0)
+            for order in (np.arange(t.size), perm)]
+    a, b = runs
+    assert (a.qt, a.sum_w2, a.p_value) == (b.qt, b.sum_w2, b.p_value)
+    assert a.an_sq.tolist() == b.an_sq.tolist()

@@ -121,6 +121,9 @@ class TestMismatch:
     def test_zero_offset_is_one(self):
         m = _model()
         assert mismatch_factor(m, DENS, 1, 0.0, replicates=2, seed=0) == 1.0
+        # answered before simulating: no densities are needed
+        for via in ("empirical", "quadratic-fit"):
+            assert mismatch_factor(m, None, 1, 0.0, via=via) == 1.0
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError, match="regime"):

@@ -14,7 +14,7 @@ from photonperiod import (
     simulate,
 )
 from photonperiod.auxmodel import DiskGeometry
-from photonperiod.scan import frequency_grid
+from photonperiod.scan import ScanResult, frequency_grid
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
 DENS = GEOM.density_pair()
@@ -22,8 +22,8 @@ DENS = GEOM.density_pair()
 
 class TestGrid:
     def test_step_arithmetic(self):
-        spec = ScanSpec(f_lo=1.0, f_hi=1.01, oversample=10.0, m=10)
-        grid = frequency_grid(spec, 1e4)
+        spec = ScanSpec(f_lo=1.0, f_hi=1.01, oversample=10.0)
+        grid = frequency_grid(spec, 1e4, 10)
         assert grid.size == 10001
         assert grid[1] - grid[0] == pytest.approx(1e-6, rel=1e-12)
         assert grid[0] == 1.0
@@ -34,8 +34,6 @@ class TestGrid:
             ScanSpec(f_lo=2.0, f_hi=1.0)
         with pytest.raises(ValueError):
             ScanSpec(f_lo=1.0, f_hi=2.0, oversample=0.5)
-        with pytest.raises(ValueError):
-            ScanSpec(f_lo=1.0, f_hi=2.0, m=0)
 
     def test_fdot_range(self):
         spec = ScanSpec(f_lo=1.0, f_hi=2.0, fdot=(-1e-6, 1e-6, 5))
@@ -50,6 +48,16 @@ class TestGrid:
             scan(t, np.array([1.0]), HarmonicTemplate([1.0]), 100.0, spec)
 
 
+class TestScanResult:
+    def test_best_is_max_qt_when_p_values_tie(self):
+        res = ScanResult(f=np.array([1.0, 1.1, 1.2, 1.3, 1.4]),
+                         fdot=np.zeros(5),
+                         qt=np.array([40.0, 90.0, 150.0, 120.0, 95.0]),
+                         p=np.array([1e-12, 0.0, 0.0, 0.0, 0.0]), trials=5)
+        assert res.best == {"f": 1.2, "fdot": 0.0, "qt": 150.0,
+                            "p_value": 0.0, "trials": 5}
+
+
 class TestScan:
     def _signal_events(self, f=5.0, seed=0):
         prof = LightCurveProfile(np.array([0.5 + 0j]), eta=1.0)
@@ -60,7 +68,7 @@ class TestScan:
     def test_recovers_injected_frequency(self):
         ev = self._signal_events(f=5.0)
         w = np.ones(len(ev))
-        spec = ScanSpec(f_lo=4.99, f_hi=5.01, oversample=5.0, m=2)
+        spec = ScanSpec(f_lo=4.99, f_hi=5.01, oversample=5.0)
         res = scan(ev, w, HarmonicTemplate([1.0, 0.2]), 100.0, spec)
         assert abs(res.best["f"] - 5.0) < 1.0 / 100.0
         assert res.best["p_value"] < 1e-10
@@ -71,7 +79,7 @@ class TestScan:
         ev = self._signal_events(seed=1)
         w = np.ones(len(ev))
         tpl = HarmonicTemplate([1.0, 0.3, 0.1])
-        spec = ScanSpec(f_lo=4.995, f_hi=5.005, oversample=3.0, m=3)
+        spec = ScanSpec(f_lo=4.995, f_hi=5.005, oversample=3.0)
         res = scan(ev, w, tpl, 100.0, spec)
         for k in range(0, res.f.size, max(1, res.f.size // 7)):
             an = fourier_coefficients(ev, w, PhaseModel(f=res.f[k]), 3)
@@ -82,16 +90,16 @@ class TestScan:
         ev = self._signal_events(seed=2)
         w = np.ones(len(ev))
         spec = ScanSpec(f_lo=4.999, f_hi=5.001, fdot=(-1e-5, 1e-5, 3),
-                        oversample=2.0, m=1)
+                        oversample=2.0)
         res = scan(ev, w, HarmonicTemplate([1.0]), 100.0, spec)
-        n_f = frequency_grid(spec, 100.0).size
+        n_f = frequency_grid(spec, 100.0, 1).size
         assert res.trials == 3 * n_f
         assert abs(res.best["fdot"]) <= 1e-5
 
     def test_epoch_invariance_of_power(self):
         ev = self._signal_events(seed=3)
         w = np.ones(len(ev))
-        spec = ScanSpec(f_lo=4.999, f_hi=5.001, oversample=2.0, m=1)
+        spec = ScanSpec(f_lo=4.999, f_hi=5.001, oversample=2.0)
         tpl = HarmonicTemplate([1.0])
         r0 = scan(ev, w, tpl, 100.0, spec)
         r1 = scan(ev, w, tpl, 100.0, spec, epoch=31.7)
@@ -115,7 +123,7 @@ class TestNullScanCalibration:
         T = 100.0
         n_grid = 256
         spec = ScanSpec(f_lo=1.0, f_hi=1.0 + (n_grid - 1) / T + 1e-9,
-                        oversample=1.0, m=1)
+                        oversample=1.0)
         tpl = HarmonicTemplate([1.0])
         rng = np.random.default_rng(2026)
         min_ps = []
