@@ -65,11 +65,46 @@ def read_events(path):
                 weight.append(vals[3])
     if header is None or not t:
         raise ValueError("%s: no event rows" % path)
-    order = np.argsort(np.asarray(t), kind="stable")
+    columns = {"time": t, "energy": energy, "angle": angle}
+    if has_weight:
+        columns["weight"] = weight
+    del t, energy, angle, weight
+    for name, values in columns.items():
+        columns[name] = np.asarray(values)  # frees each row list in turn
+    _check_values(path, columns)
+    order = np.argsort(columns["time"], kind="stable")
     ev = EventList(
-        t=np.asarray(t)[order],
-        energy=np.asarray(energy)[order],
-        angle=np.asarray(angle)[order],
+        t=columns["time"][order],
+        energy=columns["energy"][order],
+        angle=columns["angle"][order],
     )
-    w = np.asarray(weight)[order] if has_weight else None
+    w = columns["weight"][order] if has_weight else None
     return ev, w
+
+
+def _check_values(path, columns):
+    """Reject non-finite values and negative energies or angles, naming the
+    first offending row.  Vectorized; the file is reread only to find the
+    line number of a bad row."""
+    first = []
+    for col, (name, values) in enumerate(columns.items()):
+        bad = ~np.isfinite(values)
+        if name in ("energy", "angle"):
+            bad |= values < 0
+        if bad.any():
+            first.append((int(np.argmax(bad)), col, name))
+    if not first:
+        return
+    row, _, name = min(first)
+    value = float(columns[name][row])
+    need = "finite" if name in ("time", "weight") else "finite and >= 0"
+    raise ValueError("%s:%d: %s must be %s, got %r"
+                     % (path, _data_lineno(path, row), name, need, value))
+
+
+def _data_lineno(path, row):
+    """Line number of the row-th (0-based) data row of an event CSV."""
+    with open(path) as fh:
+        numbered = [lineno for lineno, raw in enumerate(fh, start=1)
+                    if raw.strip() and not raw.strip().startswith("#")]
+    return numbered[row + 1]  # numbered[0] is the header

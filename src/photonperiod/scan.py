@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import weighted_chi2_sf
+from .detector import _fsum, weighted_chi2_sf
 from .lightcurve import PhaseModel
 
 __all__ = ["ScanSpec", "ScanResult", "frequency_grid", "scan"]
@@ -91,7 +91,7 @@ def scan(events, weights, template, T, spec, epoch=0.0):
         raise ValueError("events and weights have different lengths")
     m = template.m
     amps = template.amps_sq
-    sum_w2 = float(np.sum(w * w))
+    sum_w2 = _fsum(w * w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")
 

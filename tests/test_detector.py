@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from photonperiod import (
     weighted_chi2_sf,
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
+from photonperiod.detector import P_FLOOR
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
 DENS = GEOM.density_pair()
@@ -276,6 +278,100 @@ class TestPValue:
             return p_value(qt, sw2, tpl, T)
 
         assert p_of(c * w) == pytest.approx(p_of(w), rel=1e-10)
+
+
+def _mp_sf(q, lam, dps=100):
+    """P(sum lam_r X_r > q), X_r iid chi-square(2), in mpmath at dps digits.
+
+    Generalized Erlang survival as minus the residues of e^{sq} L(s) / s at
+    the poles s = -r_j of the Laplace transform L(s) = prod_r r / (r + s),
+    rates r = 1 / (2 lam); equal coefficients are one pole of higher order.
+    """
+    with mpmath.workdps(dps):
+        order = {}
+        for x in lam:
+            rate = 1 / (2 * mpmath.mpf(float(x)))
+            order[rate] = order.get(rate, 0) + 1
+        q = mpmath.mpf(float(q))
+        total = mpmath.mpf(0)
+        for pole, m in order.items():
+            def g(s, pole=pole, m=m):
+                v = mpmath.exp(s * q) / s * pole ** m
+                for rate, n in order.items():
+                    if rate != pole:
+                        v *= (rate / (rate + s)) ** n
+                return v
+            deriv = mpmath.diff(g, -pole, m - 1) if m > 1 else g(-pole)
+            total -= deriv / mpmath.factorial(m - 1)
+        return +total
+
+
+_SCAN_AMPS = 0.64 ** np.arange(10) / np.sum(0.64 ** np.arange(10))
+_TAIL_CASES = {
+    **{"spread_k%d" % k: 0.64 ** np.arange(k) for k in range(1, 13)},
+    "scan_workload": _SCAN_AMPS * 3319.1045306689552,
+    "all_equal": np.full(5, 2.0),
+    "tie": np.array([1.0, 1.0, 0.5]),
+    "two_ties": np.array([2.0, 1.0, 1.0, 1.0, 0.5, 0.5]),
+    "near_tie": np.array([1.0 + 1e-7, 1.0, 0.5]),
+    "near_tie_triple": np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 0.3]),
+    "gaps_1e-3": 1.0 + 1e-3 * np.arange(12),
+    "wide": np.array([1.0, 1e-3, 1e-6]),
+}
+
+
+class TestExactTail:
+    """The null tail against a 100-digit mpmath reference."""
+
+    @pytest.mark.parametrize("name", sorted(_TAIL_CASES))
+    def test_relative_accuracy_body_to_1e_300(self, name):
+        lam = _TAIL_CASES[name]
+        # the tail is ~ e^{-q / 2 lam_max}: q from the body to p ~ 1e-300
+        depth = np.concatenate([np.geomspace(0.5, 600.0, 24),
+                                np.arange(640.0, 770.0, 5.0)])
+        qs = np.concatenate([np.linspace(0.02, 2.0, 6) * lam.sum(),
+                             2.0 * lam.max() * depth])
+        ps = weighted_chi2_sf(qs, lam)
+        smallest = 1.0
+        for q, p in zip(qs, ps):
+            exact = _mp_sf(q, lam)
+            if exact < 1e-300:
+                continue
+            smallest = min(smallest, exact)
+            assert float(abs(p - exact) / exact) <= 1e-10, (q, p, exact)
+        assert smallest < 1e-295
+
+    def test_floor_below_double_range(self):
+        """p is 0.0 or a normal double; a tail past P_FLOOR is 0.0."""
+        qs = np.concatenate([np.linspace(1400.0, 1500.0, 201), [1700.0, 1e6]])
+        for lam in ([1.0], [1.0, 1.0], [1.0, 0.5], [1.0, 1.0, 0.5]):
+            ps = weighted_chi2_sf(qs, lam)
+            assert np.all((ps == 0.0) | (ps >= P_FLOOR))
+            assert np.all(np.diff(ps) <= 0)
+            assert ps[-2:].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("lam", [[2.0], [1.5, 1.5, 1.5], [1.0, 0.5]])
+    def test_infinite_statistic_gives_zero(self, lam):
+        assert weighted_chi2_sf(np.inf, lam) == 0.0
+        ps = weighted_chi2_sf(np.array([np.inf, 1.0, -np.inf]), lam)
+        assert ps[0] == 0.0 and 0.0 < ps[1] < 1.0 and ps[2] == 1.0
+
+    @pytest.mark.parametrize("lam", [[2.0], [1.5, 1.5, 1.5], [1.0, 0.5]])
+    def test_nan_statistic_rejected(self, lam):
+        with pytest.raises(ValueError, match="nan"):
+            weighted_chi2_sf(np.nan, lam)
+        with pytest.raises(ValueError, match="nan"):
+            weighted_chi2_sf(np.array([1.0, np.nan]), lam)
+
+    def test_large_array_matches_scalar(self):
+        """Blocks of points, and the closed or exact form each point takes,
+        do not depend on the other points in the call."""
+        lam = np.array([1.0, 1.0 + 1e-3, 0.4])
+        qs = np.linspace(0.05, 900.0, 9001)
+        ps = weighted_chi2_sf(qs, lam)
+        for i in range(0, qs.size, 499):
+            assert ps[i] == weighted_chi2_sf(float(qs[i]), lam)
+        assert np.all(np.diff(ps) < 0)
 
 
 class TestDetect:

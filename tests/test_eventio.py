@@ -86,3 +86,44 @@ class TestErrors:
         path.write_text("time,energy,angle\n")
         with pytest.raises(ValueError, match="no event rows"):
             read_events(path)
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("row, field", [
+        ("nan,2.0,0.5", "time"),
+        ("inf,2.0,0.5", "time"),
+        ("3.0,nan,0.5", "energy"),
+        ("3.0,-inf,0.5", "energy"),
+        ("3.0,-1.0,0.5", "energy"),
+        ("3.0,2.0,nan", "angle"),
+        ("3.0,2.0,inf", "angle"),
+        ("3.0,2.0,-0.3", "angle"),
+    ])
+    def test_bad_value_names_line_and_field(self, tmp_path, row, field):
+        path = tmp_path / "ev.csv"
+        path.write_text("# comment\ntime,energy,angle\n\n1.0,2.0,0.5\n"
+                        + row + "\n5.0,2.0,0.5\n")
+        with pytest.raises(ValueError, match=r"ev\.csv:5: %s must be" % field):
+            read_events(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        path = tmp_path / "ev.csv"
+        path.write_text("time,energy,angle,weight\n1.0,2.0,0.5,0.3\n"
+                        "2.0,2.0,0.5,%s\n" % value)
+        with pytest.raises(ValueError, match=r":3: weight must be finite"):
+            read_events(path)
+
+    def test_first_bad_row_and_column_reported(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("time,energy,angle\n1.0,2.0,-1.0\n"
+                        "2.0,inf,-0.3\nnan,2.0,0.5\n")
+        with pytest.raises(ValueError, match=r":2: angle must be finite "
+                                             r"and >= 0, got -1\.0"):
+            read_events(path)
+
+    def test_zero_energy_and_angle_accepted(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("time,energy,angle\n1.0,0.0,0.0\n")
+        ev, _ = read_events(path)
+        assert ev.energy.tolist() == [0.0] and ev.angle.tolist() == [0.0]

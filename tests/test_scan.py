@@ -9,11 +9,13 @@ from photonperiod import (
     RateModel,
     ScanSpec,
     fourier_coefficients,
+    p_value,
     qt_statistic,
     scan,
     simulate,
 )
 from photonperiod.auxmodel import DiskGeometry
+from photonperiod.detector import _fsum
 from photonperiod.scan import ScanResult, frequency_grid
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
@@ -104,6 +106,33 @@ class TestScan:
         r0 = scan(ev, w, tpl, 100.0, spec)
         r1 = scan(ev, w, tpl, 100.0, spec, epoch=31.7)
         assert np.allclose(r1.qt, r0.qt, rtol=1e-7)
+
+    def test_bright_injection_p_values_distinct(self):
+        """Deep in the tail every grid point keeps its own p-value: none is
+        0, and p falls strictly as Q_T rises."""
+        ev = self._signal_events(f=5.0)
+        spec = ScanSpec(f_lo=4.99, f_hi=5.01, oversample=5.0)
+        res = scan(ev, np.ones(len(ev)), HarmonicTemplate([1.0, 0.3]), 100.0,
+                   spec)
+        assert res.p.min() < 1e-200
+        assert np.all(res.p > 0)
+        rising = np.argsort(res.qt)
+        assert np.all(np.diff(res.qt[rising]) > 0)
+        assert np.all(np.diff(res.p[rising]) < 0)
+
+    def test_p_equals_p_value_at_each_point(self):
+        """scan sums w^2 exactly rounded, as detect does, so every grid
+        point's p is p_value at its Q_T, bit for bit."""
+        rng = np.random.default_rng(6)
+        t = rng.uniform(0.0, 100.0, 9845)
+        w = rng.uniform(0.0, 1.0, 9845)
+        sum_w2 = _fsum(w * w)
+        assert sum_w2 != np.sum(w * w)  # a plain sum would round differently
+        tpl = HarmonicTemplate([1.0, 0.4, 0.1])
+        res = scan(t, w, tpl, 100.0, ScanSpec(f_lo=1.0, f_hi=1.1,
+                                             oversample=2.0))
+        assert res.p.tolist() == [p_value(q, sum_w2, tpl, 100.0)
+                                  for q in res.qt]
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="weighted"):
