@@ -32,18 +32,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, events=False, out=False):
+    def common(p, events=False, out=False, seed=False):
         p.add_argument("--config", required=True, help="JSON config path")
         if events:
             p.add_argument("--events", required=True, help="event CSV path")
         if out:
             p.add_argument("--out", help="output file path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replicates", type=int, default=2000)
-        p.add_argument("--threads", type=int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="write a synthetic event CSV")
-    common(p, out=True)
+    common(p, out=True, seed=True)
 
     p = sub.add_parser("detect", help="run detection on an event file")
     common(p, events=True)
@@ -55,7 +54,9 @@ def _build_parser():
     common(p, out=True)
 
     p = sub.add_parser("calibrate", help="null Monte Carlo calibration report")
-    common(p)
+    common(p, seed=True)
+    p.add_argument("--replicates", type=int, default=2000)
+    p.add_argument("--threads", type=int, default=1)
     return parser
 
 

@@ -63,17 +63,23 @@ def _fsum(values):
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
+def _times_and_weights(events, weights):
+    """Event times (an EventList or bare times) and their checked weights."""
+    times = np.asarray(getattr(events, "t", events), dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != times.shape:
+        raise ValueError("events and weights have different lengths")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
+    return times, w
+
+
 def fourier_coefficients(events, weights, model, m):
     """A_n = sum_j w_j e^{2 pi i n phi(t_j)} for n = 1..m, compensated.
 
     Accepts an EventList or a bare array of times.
     """
-    times = np.asarray(getattr(events, "t", events), dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != times.shape:
-        raise ValueError("events and weights have different lengths")
-    if np.any(~np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and nonnegative")
+    times, w = _times_and_weights(events, weights)
     if m < 1:
         raise ValueError("m must be >= 1")
     if times.size == 0:
@@ -103,10 +109,7 @@ def score_at_tau(events, weights, model, profile, tau):
     The deterministic integral term of the score is dropped; it is negligible
     when phi(T) >> 1 and the sensitivity varies slowly.
     """
-    times = np.asarray(getattr(events, "t", events), dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != times.shape:
-        raise ValueError("events and weights have different lengths")
+    times, w = _times_and_weights(events, weights)
     if times.size == 0:
         return 0.0
     nu = eval_profile(profile, phase_of(model, times) + tau)

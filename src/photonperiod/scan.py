@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _fsum, weighted_chi2_sf
+from .detector import _fsum, _times_and_weights, weighted_chi2_sf
 from .lightcurve import PhaseModel
 
 __all__ = ["ScanSpec", "ScanResult", "frequency_grid", "scan"]
@@ -85,10 +85,7 @@ def scan(events, weights, template, T, spec, epoch=0.0):
             "grid has %d points (max %d); narrow the range or reduce "
             "oversampling" % (total, spec.max_points)
         )
-    times = np.asarray(getattr(events, "t", events), dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != times.shape:
-        raise ValueError("events and weights have different lengths")
+    times, w = _times_and_weights(events, weights)
     m = template.m
     amps = template.amps_sq
     sum_w2 = _fsum(w * w)

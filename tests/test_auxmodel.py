@@ -191,6 +191,51 @@ class TestWeightMoments:
         assert m.beta2 == pytest.approx(0.0, abs=1e-9)
 
 
+def cut_moments_closed_form(sigma, e_lo, phi_max, R=5.0, index_s=2.0,
+                            index_b=2.7, e_min=1.0, e_max=5.0):
+    """(beta1, zeta1) of the cut E >= e_lo, phi <= phi_max for power-law
+    spectra on [e_min, e_max], a Gaussian PSF truncated at R and a uniform
+    disc of radius R.  An indicator equals its square, so beta2 = beta1 and
+    zeta2 = zeta1."""
+
+    def band(index):
+        g = 1.0 - index
+        return (e_max**g - max(e_lo, e_min) ** g) / (e_max**g - e_min**g)
+
+    def psf_mass(r):
+        return -np.expm1(-r * r / (2.0 * sigma * sigma))
+
+    psf = psf_mass(phi_max) / psf_mass(R)
+    return band(index_b) * (phi_max / R) ** 2, band(index_s) * psf
+
+
+class TestCutClosedForm:
+    @pytest.mark.parametrize("sigma, e_lo, phi_max", [
+        (1.0, 4.3, 2.0),    # the benchmark's power densities and cut
+        (0.1, 1.37, 0.23),  # a narrow PSF with the cut edges inside its core
+    ])
+    def test_moments_and_efficiency(self, sigma, e_lo, phi_max):
+        theta = 0.1
+        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                            sigma=sigma).density_pair(
+            am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))
+        m = weight_moments(cut_weight_fn(e_lo=e_lo, phi_max=phi_max), theta, dens)
+        beta1, zeta1 = cut_moments_closed_form(sigma, e_lo, phi_max)
+        eff = zeta1**2 / ((1.0 - theta) * beta1 + theta * zeta1)
+        assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.beta2 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0)
+        assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
+        assert weight_efficiency(m, theta) == pytest.approx(eff, rel=1e-8, abs=0)
+
+    def test_bare_callable_matches_weight_function(self):
+        """The integral reads only the weight's values, never its params."""
+        dens = xi1_densities()
+        wf = cut_weight_fn(e_lo=2.2, phi_max=2.0)
+        assert weight_moments(lambda e, p: wf(e, p), 0.2, dens) == \
+            weight_moments(wf, 0.2, dens)
+
+
 class TestEfficiency:
     def test_unit_weight_is_one(self):
         m = weight_moments(unit_weight(), 0.17, xi1_densities())
@@ -273,6 +318,13 @@ class TestEfficiency:
         for wf in candidates:
             eff = weight_efficiency(weight_moments(wf, theta, dens), theta)
             assert eff <= best * (1 + 1e-5)
+
+    def test_non_finite_weight_rejected(self):
+        nan_far = custom_weight(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            weight_moments(nan_far, 0.3, xi1_densities())
+        with pytest.raises(ValueError, match="not finite"):
+            correlation_efficiency(nan_far, 0.3, xi1_densities())
 
     def test_degenerate_weight_rejected(self):
         dens = xi1_densities()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from photonperiod import detect, estimate_theta, read_events, scan, write_events
-from photonperiod.auxmodel import optimal_no_spectrum_fn, optimal_weight_fn
+from photonperiod.auxmodel import (custom_weight, optimal_no_spectrum_fn,
+                                   optimal_weight_fn)
 from photonperiod.cli import main
 from photonperiod.config import Config
 
@@ -243,6 +244,24 @@ class TestScanCommand:
         assert lines[0] == "f,fdot,qt,p_value"
         assert len(lines) - 1 == best["trials"]
 
+    def test_negative_precomputed_weight_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        plain = str(tmp_path / "plain.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", plain, "--seed", "8"])
+        ev, _ = read_events(plain)
+        w = np.ones(len(ev))
+        w[3] = -0.5
+        weighted = str(tmp_path / "weighted.csv")
+        write_events(weighted, ev, weights=w)
+        doc = base_config(weight={"kind": "precomputed"},
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+        cfg2 = write_config(tmp_path, doc, name="cfg2.json")
+        code, out, err = run(capsys, ["scan", "--config", cfg2,
+                                      "--events", weighted])
+        assert code == 1
+        assert out == ""
+        assert "finite and nonnegative" in err
+
 
 class TestPowerCommand:
     def test_single_harmonic_efficiency_table(self, tmp_path, capsys):
@@ -268,6 +287,32 @@ class TestPowerCommand:
         assert code == 0
         pred = json.loads(out)
         assert pred["efficiency_w"] > 1.0
+
+    def test_non_finite_weight_fails(self, tmp_path, capsys, monkeypatch):
+        nan_far = custom_weight(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
+        monkeypatch.setattr(Config, "weight", lambda self, theta=None: nan_far)
+        cfg = write_config(tmp_path, base_config(weight={"kind": "custom"}))
+        code, out, err = run(capsys, ["power", "--config", cfg])
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+
+
+class TestUnusedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--events", "x.csv", "--threads", "2"],
+        ["detect", "--events", "x.csv", "--seed", "1"],
+        ["scan", "--events", "x.csv", "--replicates", "10"],
+        ["power", "--seed", "1"],
+        ["simulate", "--threads", "2"],
+        ["simulate", "--replicates", "10"],
+    ])
+    def test_usage_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", cfg] + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

@@ -144,6 +144,17 @@ class TestScan:
             scan(np.array([1.0, 2.0]), np.array([1.0]), HarmonicTemplate([1.0]),
                  10.0, ScanSpec(f_lo=1.0, f_hi=1.1))
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        """scan checks weights as detect does, before any tail probability."""
+        rng = np.random.default_rng(3)
+        t = np.sort(rng.uniform(0.0, 100.0, 200))
+        w = np.ones(200)
+        w[17] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scan(t, w, HarmonicTemplate([1.0]), 100.0,
+                 ScanSpec(f_lo=1.0, f_hi=1.02))
+
 
 class TestNullScanCalibration:
     def test_minimum_p_follows_trials_count(self):
