@@ -8,7 +8,6 @@ Weight moments and efficiencies are nested adaptive Gauss-Kronrod integrals
 (`scipy.integrate.cubature`) over energy and angle, to 1e-9 relative.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,19 +310,6 @@ class DiskGeometry:
             background_angle=UniformDiscAngle(self.R),
         )
 
-    def to_json(self):
-        if callable(self.sigma):
-            raise ValueError("cannot serialize a callable sigma")
-        return json.dumps(
-            {"R": self.R, "rho": self.rho, "alpha_rate": self.alpha_rate,
-             "sigma": self.sigma}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(obj["R"], obj["rho"], obj["alpha_rate"], obj["sigma"])
-
 
 # ---------------------------------------------------------------------------
 # Weight functions
@@ -332,28 +318,22 @@ class DiskGeometry:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Event weight w(E, phi), tagged with its construction kind."""
+    """Event weight w(E, phi) on float arrays."""
 
-    kind: str
     fn: callable
-    params: dict = None
 
     def __call__(self, e, phi):
         return np.asarray(self.fn(np.asarray(e, dtype=float),
                                    np.asarray(phi, dtype=float)))
 
-    def to_json(self):
-        return json.dumps({"kind": self.kind, **(self.params or {})})
-
 
 def unit_weight():
-    return WeightFunction("unit", lambda e, phi: np.ones(np.broadcast(e, phi).shape))
+    return WeightFunction(lambda e, phi: np.ones(np.broadcast(e, phi).shape))
 
 
 def constant_weight(c):
     return WeightFunction(
-        "custom", lambda e, phi: np.full(np.broadcast(e, phi).shape, float(c))
-    )
+        lambda e, phi: np.full(np.broadcast(e, phi).shape, float(c)))
 
 
 # Posterior weights are built at theta >= _THETA_FLOOR.  At a theta MLE of 0
@@ -369,11 +349,14 @@ def _weight_theta(theta):
 
 
 def _posterior(theta, fs, fb):
-    """theta f_S / ((1 - theta) f_B + theta f_S), the source probability."""
-    denom = (1.0 - theta) * fb + theta * fs
-    if np.any(denom <= 0):
+    """theta f_S / ((1 - theta) f_B + theta f_S), the source probability.
+
+    0 where f_S = 0 < f_B, which at theta = 1 is the limit of a 0 / 0.
+    """
+    fs, fb = np.asarray(fs, dtype=float), np.asarray(fb, dtype=float)
+    if np.any((fs <= 0) & (fb <= 0)):
         raise ValueError("z outside support of both densities")
-    return theta * fs / denom
+    return theta * fs / np.where(fs > 0, (1.0 - theta) * fb + theta * fs, 1.0)
 
 
 def optimal_weight(z, theta, densities):
@@ -388,10 +371,7 @@ def optimal_weight_fn(theta, densities):
     """optimal_weight as a WeightFunction; theta in [0, 1], floored at 1e-12."""
     theta = _weight_theta(theta)
     return WeightFunction(
-        "optimal",
-        lambda e, phi: optimal_weight((e, phi), theta, densities),
-        {"theta": theta},
-    )
+        lambda e, phi: optimal_weight((e, phi), theta, densities))
 
 
 def optimal_no_spectrum_fn(theta, densities):
@@ -402,7 +382,7 @@ def optimal_no_spectrum_fn(theta, densities):
         return _posterior(theta, densities.source_angle.pdf(phi, e),
                           densities.background_angle.pdf(phi, e))
 
-    return WeightFunction("optimal-no-spectrum", fn, {"theta": theta})
+    return WeightFunction(fn)
 
 
 def psf_gaussian_weight(e, phi, geom, spectra=None):
@@ -433,8 +413,7 @@ def psf_gaussian_weight(e, phi, geom, spectra=None):
 
 def psf_gaussian_weight_fn(geom, spectra=None):
     return WeightFunction(
-        "psf-gaussian", lambda e, phi: psf_gaussian_weight(e, phi, geom, spectra)
-    )
+        lambda e, phi: psf_gaussian_weight(e, phi, geom, spectra))
 
 
 def cut_weight(z, cut):
@@ -454,11 +433,11 @@ def cut_weight_fn(e_lo=-np.inf, e_hi=np.inf, phi_max=np.inf):
     cut = {"e_lo": e_lo, "e_hi": e_hi, "phi_max": phi_max}
     if e_lo > e_hi:
         raise ValueError("cut has e_lo > e_hi")
-    return WeightFunction("cut", lambda e, phi: cut_weight((e, phi), cut), cut)
+    return WeightFunction(lambda e, phi: cut_weight((e, phi), cut))
 
 
 def custom_weight(fn):
-    return WeightFunction("custom", fn)
+    return WeightFunction(fn)
 
 
 # ---------------------------------------------------------------------------

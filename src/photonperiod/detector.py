@@ -1,14 +1,16 @@
 """Weighted Fourier statistics, the Q_T detection statistic, and p-values.
 
 The statistic Q_T = (1/T) sum_{n != 0} |alpha_n|^2 |A_n|^2 with
-A_n = sum_j w_j exp(2 pi i n phi(t_j)).  Under the null (no periodic
-component) 2 |A_n|^2 / sum_j w_j^2 is approximately chi-square(2) and the
-A_n are approximately independent, so Q_T T is a weighted sum of
-independent chi-square(2) variables with coefficients |alpha_n|^2 sum_w2;
-p-values are its exact survival function (`weighted_chi2_sf`): the
-hypoexponential closed form in log space, with the phase-type matrix
-exponential where ties or cancellation defeat it.  They are accurate to
-1e-10 relative down to P_FLOOR (~2.2e-308), below which they are 0.0.
+A_n = sum_j w_j exp(2 pi i n phi(t_j)), one exponential per event and z^n by
+recurrence (lightcurve._harmonic_sums, with its rounding bound).  Under the
+null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
+chi-square(2) and the A_n are approximately independent, so Q_T T is a
+weighted sum of independent chi-square(2) variables with coefficients
+|alpha_n|^2 sum_w2; p-values are its exact survival function
+(`weighted_chi2_sf`): the hypoexponential closed form in log space, with the
+phase-type matrix exponential where ties or cancellation defeat it.  They are
+accurate to 1e-10 relative down to P_FLOOR (~2.2e-308), below which they are
+0.0.
 """
 
 import json
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from .auxmodel import optimal_weight_fn
-from .lightcurve import eval_profile, phase_of
+from .lightcurve import (_harmonic_sums, _times_and_weights, _unit_phasors,
+                         eval_profile, phase_of)
 
 __all__ = [
     "DetectionResult",
@@ -63,44 +66,26 @@ def _fsum(values):
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
-def _times_and_weights(events, weights):
-    """Event times (an EventList or bare times) and their checked weights."""
-    times = np.asarray(getattr(events, "t", events), dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != times.shape:
-        raise ValueError("events and weights have different lengths")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise ValueError("weights must be finite and nonnegative")
-    return times, w
-
-
 def fourier_coefficients(events, weights, model, m):
-    """A_n = sum_j w_j e^{2 pi i n phi(t_j)} for n = 1..m, compensated.
-
-    Accepts an EventList or a bare array of times.
-    """
+    """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times,
+    summed in (t, w) order, so that no permutation of the events changes a
+    bit, to within the rounding bound of lightcurve._harmonic_sums."""
     times, w = _times_and_weights(events, weights)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if times.size == 0:
-        return np.zeros(m, dtype=complex)
-    ang = 2.0 * np.pi * phase_of(model, times)
-    out = np.empty(m, dtype=complex)
-    for n in range(1, m + 1):
-        out[n - 1] = complex(_fsum(w * np.cos(n * ang)),
-                             _fsum(w * np.sin(n * ang)))
-    return out
+    tw = times + 1j * w
+    tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
+    return _harmonic_sums(tw.imag, _unit_phasors(phase_of(model, tw.real)), m)
 
 
 def qt_statistic(an, template, T):
-    """(2/T) sum_{n=1..m} |alpha_n|^2 |A_n|^2 (factor 2 for the n < 0 twins)."""
+    """(2/T) sum_{n=1..m} |alpha_n|^2 |A_n|^2 (factor 2 for the n < 0 twins),
+    A_n along the last axis of an: a 2-D an gives one Q_T a row."""
     if T <= 0:
         raise ValueError("T must be positive")
     an = np.asarray(an)
-    if template.m > an.size:
+    if template.m > an.shape[-1]:
         raise ValueError("template has more harmonics than supplied A_n")
-    power = np.abs(an[: template.m]) ** 2
-    return float(2.0 / T * np.dot(template.amps_sq, power))
+    qt = 2.0 / T * (np.abs(an[..., : template.m]) ** 2 @ template.amps_sq)
+    return qt if qt.ndim else float(qt)
 
 
 def score_at_tau(events, weights, model, profile, tau):

@@ -154,6 +154,42 @@ def phase_of(model, t):
     return model.f * dt + 0.5 * model.fdot * dt * dt
 
 
+def _times_and_weights(events, weights):
+    """Event times (an EventList or bare times) and their checked weights."""
+    times = np.asarray(getattr(events, "t", events), dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != times.shape:
+        raise ValueError("events and weights have different lengths")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
+    return times, w
+
+
+def _unit_phasors(phase):
+    """e^{2 pi i phase}, reduced mod 1 first so no angle error grows with it."""
+    z = 2j * np.pi * (phase % 1.0)
+    return np.exp(z, out=z)
+
+
+def _harmonic_sums(w, z, m):
+    """sum_j w_j z_j^n for n = 1..m, z unit phasors, by the recurrence z^n.
+
+    u = 2^-53.  A phasor from _unit_phasors is within 20 u of e^{2 pi i phi}
+    at its rounded phase, so z^n is within 20 n u; w z and each multiply add
+    3 u (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5);
+    numpy's blocked pairwise sum adds (2 log2 N + 20) u sum_j w_j (section
+    4.2).  So A_n is within (23 n + 2 log2 N + 20) u sum_j w_j of exact.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    term = w * z
+    an = [term.sum()]
+    for _ in range(1, m):
+        term *= z
+        an.append(term.sum())
+    return np.array(an)
+
+
 def eval_profile(profile, phase):
     """Evaluate the profile at a phase (cycles; reduced mod 1 internally).
 
@@ -191,20 +227,16 @@ def estimate_profile_coeffs(events, model, m, weights=None):
     spectrum for template matching and skips the rate-profile
     nonnegativity check.
     """
-    times = np.asarray(getattr(events, "t", events), dtype=float)
+    if weights is None:
+        weights = np.ones(np.shape(getattr(events, "t", events)))
+    times, w = _times_and_weights(events, weights)
     if times.size == 0:
         raise ValueError("empty event list")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    w = np.ones(times.size) if weights is None else np.asarray(weights, float)
-    if w.size != times.size:
-        raise ValueError("weights length does not match events")
-    phi = phase_of(model, times)
-    n = np.arange(1, m + 1)
-    an = np.exp(2j * np.pi * np.multiply.outer(n, phi)) @ w
+    if not np.any(w > 0):
+        raise ValueError("no weighted events")
+    an = _harmonic_sums(w, _unit_phasors(phase_of(model, times)), m)
     power = np.abs(an) ** 2
-    wsum = np.sum(w)
-    if np.sum(power) / wsum**2 < 1e-9:
+    if np.sum(power) / np.sum(w) ** 2 < 1e-9:
         raise ValueError("no harmonic content")
     coeffs = an / np.sqrt(np.sum(power))
     return LightCurveProfile.unchecked(coeffs, eta=1.0)

@@ -92,6 +92,20 @@ class TestOptimalWeight:
         with pytest.raises(ValueError, match="outside support"):
             optimal_weight((1.5, 0.5), 0.25, dens)
 
+    def test_theta_one_where_source_density_underflows(self):
+        """At theta = 1 the weight is the limit 0 where f_S = 0 < f_B, and
+        the only error left is z outside both supports."""
+        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                            sigma=0.1).density_pair()
+        assert dens.pdf_source(1.0, 4.0) == 0.0 < dens.pdf_background(1.0, 4.0)
+        for build in (optimal_weight_fn, optimal_no_spectrum_fn):
+            w = build(1.0, dens)(np.array([1.0, 1.0, 1.0]),
+                                 np.array([4.0, 0.05, 0.3]))
+            assert w.tolist() == [0.0, 1.0, 1.0]
+            with pytest.raises(ValueError, match="outside support"):
+                build(1.0, dens)(1.0, 5.5)
+        assert optimal_weight((1.0, 4.0), 1.0, dens) == 0.0
+
     def test_no_spectrum_form_equals_full_form_for_equal_spectra(self):
         dens = DiskGeometry(R=5.0, rho=0.3, alpha_rate=2.0, sigma=0.7).density_pair(
             am.PowerLawSpectrum(2.2, 0.5, 8.0))

@@ -197,6 +197,23 @@ class TestOnePipeline:
                                        {"kind": "precomputed"}, weighted)
         assert out == self._library(doc, ev, w)
 
+    def test_configured_theta_one(self, tmp_path, capsys):
+        """weight.theta = 1 weights background-only events 0, also where the
+        PSF density underflows to 0 inside the disc."""
+        doc = base_config(weight={"kind": "optimal", "theta": 1.0})
+        doc["densities"]["geometry"]["sigma"] = 0.1
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events, "--seed", "4"])
+        ev, _ = read_events(events)
+        dens = Config(doc).densities()
+        assert np.any(dens.pdf_source(*ev.z) == 0)
+        code, out, err = run(capsys, ["detect", "--config", cfg,
+                                      "--events", events])
+        assert code == 0, err
+        assert out.strip() == self._library(
+            doc, ev, optimal_weight_fn(1.0, dens), theta=1.0)
+
     def test_theta_mle_of_zero(self, tmp_path, capsys):
         """A source-free file whose theta MLE is 0 still gets weights."""
         doc = base_config(weight={"kind": "optimal"},

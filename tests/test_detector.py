@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from photonperiod import (
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
 from photonperiod.detector import P_FLOOR
+from photonperiod.lightcurve import phase_of
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
 DENS = GEOM.density_pair()
@@ -68,6 +71,31 @@ class TestFourierCoefficients:
         a0 = fourier_coefficients(t, w, PhaseModel(f=3.0), 3)
         a1 = fourier_coefficients(t, w, PhaseModel(f=3.0, epoch=17.3), 3)
         assert np.allclose(np.abs(a1), np.abs(a0), rtol=1e-9)
+
+    def test_rounding_bound_against_exact_sum(self):
+        """At 1e5 events and up to 1e6 cycles with fdot, each A_n is within
+        the kernel's stated (23 n + 2 log2 N + 20) u sum w of an exactly
+        rounded sum at the reduced phases."""
+        u = 2.0**-53
+        rng = np.random.default_rng(11)
+        n_ev = 100_000
+        t = rng.uniform(0.0, 1e5, n_ev)
+        w = rng.uniform(0.0, 1.0, n_ev)
+        model = PhaseModel(f=10.0, fdot=2e-9, epoch=-3.0)
+        phase = phase_of(model, t)
+        assert phase.min() >= 30.0 and phase.max() > 1e6
+        r = phase - np.floor(phase)  # exact for positive phases
+        m = 4
+        an = fourier_coefficients(t, w, model, m)
+        sum_w = math.fsum(w.tolist())
+        for n in range(1, m + 1):
+            # the oracle's terms: n r and 2 pi (n r mod 1) rounded, then cos
+            # and sin to an ulp, so within (7 n + 15) u of exact
+            ang = 2.0 * np.pi * ((n * r) % 1.0)
+            exact = complex(math.fsum((w * np.cos(ang)).tolist()),
+                            math.fsum((w * np.sin(ang)).tolist()))
+            bound = (23 * n + 2 * np.log2(n_ev) + 20 + 7 * n + 15) * u * sum_w
+            assert abs(an[n - 1] - exact) <= bound
 
     def test_empty_events(self):
         an = fourier_coefficients(np.array([]), np.array([]), F0, 2)
@@ -434,8 +462,9 @@ class TestDetect:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_detect_invariant_under_event_permutation(data):
-    """With theta given, detect's sums are exact-rounded (math.fsum), so a
-    permutation of events and weights leaves every output bit-identical."""
+    """With theta given, detect sums A_n in a canonical (t, w) order and
+    sum w^2 exactly rounded (math.fsum), so a permutation of events and
+    weights leaves every output bit-identical."""
     rows = data.draw(st.lists(
         st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 1.0)),
         min_size=1, max_size=60))

@@ -113,6 +113,20 @@ class TestEstimateProfileCoeffs:
         with pytest.raises(ValueError, match="empty"):
             estimate_profile_coeffs(np.array([]), PhaseModel(f=1.0), m=2)
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        """Profile estimation checks weights as detect does."""
+        t = np.linspace(0.0, 10.0, 50)
+        w = np.ones(50)
+        w[7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            estimate_profile_coeffs(t, PhaseModel(f=1.3), m=2, weights=w)
+
+    def test_zero_weights_rejected(self):
+        with pytest.raises(ValueError, match="no weighted events"):
+            estimate_profile_coeffs(np.linspace(0.0, 10.0, 50), PhaseModel(f=1.3),
+                                    m=2, weights=np.zeros(50))
+
     def test_simulation_round_trip(self):
         phase = PhaseModel(f=7.0)
         model = RateModel(mu=2000.0, theta=1.0, profile=single_harmonic(),

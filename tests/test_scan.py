@@ -16,6 +16,7 @@ from photonperiod import (
 )
 from photonperiod.auxmodel import DiskGeometry
 from photonperiod.detector import _fsum
+from photonperiod.lightcurve import phase_of
 from photonperiod.scan import ScanResult, frequency_grid
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
@@ -87,6 +88,32 @@ class TestScan:
             an = fourier_coefficients(ev, w, PhaseModel(f=res.f[k]), 3)
             assert res.qt[k] == pytest.approx(qt_statistic(an, tpl, 100.0),
                                               rel=1e-8)
+
+    def test_long_grid_drift_within_stated_bound(self):
+        """Over 1e4 rotations A_n stays within the scan's stated bound of a
+        direct evaluation at the grid frequency: drift (23 + 30 k) n u sum w,
+        the direct sum's own (23 n + 2 log2 N + 20) u sum w, and the rounding
+        of f_k and of both phases, under 12 u |phi| cycles a term."""
+        u = 2.0**-53
+        T, fdot, epoch = 1e4, 1e-8, -20.0
+        rng = np.random.default_rng(8)
+        t = rng.uniform(0.0, T, 1000)
+        w = rng.uniform(0.0, 1.0, 1000)
+        tpl = HarmonicTemplate([1.0, 0.5])
+        spec = ScanSpec(f_lo=1.0, f_hi=1.5, fdot=fdot, oversample=1.0)
+        res = scan(t, w, tpl, T, spec, epoch=epoch)
+        assert res.trials == 10001
+        sum_w = w.sum()
+        log_n = np.log2(t.size)
+        for k in list(range(0, res.trials, 500)) + [res.trials - 1]:
+            model = PhaseModel(f=res.f[k], fdot=fdot, epoch=epoch)
+            phi_max = np.abs(phase_of(model, t)).max()
+            an = fourier_coefficients(t, w, model, tpl.m)
+            n = np.arange(1, tpl.m + 1)
+            eps = ((23 + 30 * k) * n + 2 * log_n + 20 + 23 * n + 2 * log_n
+                   + 20 + 2 * np.pi * n * 12 * phi_max) * u * sum_w
+            slack = 2.0 / T * np.dot(tpl.amps_sq, 2 * np.abs(an) * eps + eps**2)
+            assert abs(res.qt[k] - qt_statistic(an, tpl, T)) <= slack
 
     def test_fdot_plane(self):
         ev = self._signal_events(seed=2)
