@@ -36,9 +36,6 @@ __all__ = [
     "detect",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class DetectionResult:
     an_sq: np.ndarray  # |A_n|^2, n = 1..m
@@ -62,8 +59,9 @@ class DetectionResult:
 
 
 def _fsum(values):
-    # exact-rounding compensated sum; result is order-independent
-    return math.fsum(np.asarray(values, dtype=float).tolist())
+    # exact-rounding compensated sum; result is order-independent.  fsum reads
+    # the buffer through a memoryview: no list of Python floats is built
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float).ravel()))
 
 
 def fourier_coefficients(events, weights, model, m):
@@ -104,9 +102,19 @@ def score_at_tau(events, weights, model, profile, tau):
 def estimate_theta(z_values, densities, tol=1e-8):
     """Maximum-likelihood source fraction from auxiliary data alone.
 
-    Maximizes sum_j log[(1 - theta) f_B(z_j) + theta f_S(z_j)] over [0, 1].
-    The objective is concave, so golden-section search finds the unique
-    maximum; boundary solutions are detected from one-sided derivative signs.
+    Maximizes sum_j log D_j over [0, 1], D_j = (1 - theta) f_B(z_j)
+    + theta f_S(z_j) = f_B(z_j) + theta d_j with d = f_S - f_B.  The objective
+    is concave, so its score sum_j d_j / D_j decreases in theta: the MLE is 0
+    where the score at 0 is <= 0, 1 where the score at 1 is >= 0, and
+    otherwise the score's root.  The root is found by Newton's method, with
+    Hessian -sum_j (d_j / D_j)^2, from theta = 1/2 inside a sign bracket.  The
+    bracket is bisected instead where a Newton step would leave it, or where
+    the Newton step before did not halve |score|; so, but for the first step
+    after each bisection, every step halves the bracket or |score|.  A Newton
+    step shorter than tol / 2 is stretched to tol / 2, which closes the
+    bracket once Newton has converged.  The result is the Newton estimate
+    from the last point if it lies in the final bracket, narrower than tol,
+    or else the bracket's midpoint.
     """
     if hasattr(z_values, "z"):
         e, phi = z_values.z
@@ -123,34 +131,40 @@ def estimate_theta(z_values, densities, tol=1e-8):
 
     diff = fs - fb
 
-    def dll(theta):
-        denom = (1.0 - theta) * fb + theta * fs
-        with np.errstate(divide="ignore"):
-            terms = diff / denom
-        return np.sum(terms)
+    def score(theta):
+        """The score and its Newton step, score / -Hessian."""
+        r = diff * theta
+        r += fb  # D, in place: no temporaries
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(diff, r, out=r)
+            s = np.sum(r)
+            return s, s / (r @ r)
 
-    if dll(0.0) <= 0:
+    if score(0.0)[0] <= 0:
         return 0.0
-    if dll(1.0) >= 0:
+    if score(1.0)[0] >= 0:
         return 1.0
-
-    def ll(theta):
-        return np.sum(np.log((1.0 - theta) * fb + theta * fs))
-
-    a, b = 0.0, 1.0
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = ll(x1), ll(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = ll(x2)
+    lo, hi = 0.0, 1.0  # score(lo) > 0 > score(hi)
+    theta, bound = 0.5, np.inf
+    while True:
+        s, newton = score(theta)
+        if s > 0:
+            lo = theta
+        elif s < 0:
+            hi = theta
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = ll(x1)
-    return 0.5 * (a + b)
+            return float(theta)
+        if hi - lo < tol:
+            estimate = theta + newton
+            return float(estimate if lo <= estimate <= hi else 0.5 * (lo + hi))
+        # theta is lo or hi; the test fails on a nan or infinite step too
+        if lo < theta + newton < hi and abs(s) <= bound:
+            bound = 0.5 * abs(s)
+            # a step shorter than tol / 2 is stretched to tol / 2, past the
+            # root if Newton is right, so that the bracket closes
+            theta += math.copysign(max(abs(newton), 0.5 * tol), newton)
+        else:
+            theta, bound = 0.5 * (lo + hi), np.inf
 
 
 _EPS = np.finfo(float).eps

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from photonperiod import (
@@ -235,6 +236,47 @@ class TestEstimateTheta:
         grid = np.linspace(1e-6, 1 - 1e-6, 20001)
         ll = np.sum(np.log((1 - grid[:, None]) * fb + grid[:, None] * fs), axis=1)
         assert abs(theta_hat - grid[np.argmax(ll)]) < 1e-4
+
+    def test_matches_brentq_score_root(self):
+        rng = np.random.default_rng(11)
+        n = 10_000
+        is_src = rng.uniform(size=n) < 0.3
+        e = np.empty(n)
+        phi = np.empty(n)
+        e[is_src], phi[is_src] = DENS.sample_source(rng, int(is_src.sum()))
+        e[~is_src], phi[~is_src] = DENS.sample_background(rng, int(n - is_src.sum()))
+        fs = DENS.pdf_source(e, phi)
+        fb = DENS.pdf_background(e, phi)
+
+        def score(theta):
+            return math.fsum((fs - fb) / ((1.0 - theta) * fb + theta * fs))
+
+        root = brentq(score, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert abs(estimate_theta((e, phi), DENS) - root) < 1e-12
+
+    @pytest.mark.parametrize("near_one", [False, True])
+    def test_root_within_1e6_of_boundary(self, near_one):
+        # one event with f_S / f_B = 3 + delta against four with 1/2: the
+        # score root is delta / (2.5 (2 + delta)) = 2e-7.  From theta = 1/2
+        # Newton steps leave the bracket, so bisection runs first.  Swapping
+        # f_S and f_B mirrors the root to 1 - 2e-7.
+        class Ratios:  # z = (f_S, f_B)
+            def pdf_source(self, e, phi):
+                return np.asarray(e, float)
+
+            def pdf_background(self, e, phi):
+                return np.asarray(phi, float)
+
+        delta = 1e-6
+        fs = np.array([3.0 + delta, 0.5, 0.5, 0.5, 0.5])
+        fb = np.ones(5)
+        root = delta / (2.5 * (2.0 + delta))
+        z = (fb, fs) if near_one else (fs, fb)
+        theta_hat = estimate_theta(z, Ratios())
+        assert math.isfinite(theta_hat)
+        assert 0.0 < theta_hat < 1.0
+        want = 1.0 - root if near_one else root
+        assert abs(theta_hat - want) < 1e-12
 
 
 def _partial_fraction_sf(q, lam):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from photonperiod import read_events, write_events
+from photonperiod import eventio, read_events, write_events
 from photonperiod.simulator import EventList
 
 
@@ -127,3 +129,108 @@ class TestValueChecks:
         path.write_text("time,energy,angle\n1.0,0.0,0.0\n")
         ev, _ = read_events(path)
         assert ev.energy.tolist() == [0.0] and ev.angle.tolist() == [0.0]
+
+
+HEAD = "time,energy,angle\n"
+# (id, file text, whether np.loadtxt reads it; None: either way).  Every
+# file must give read_events the same arrays, or the same message, as the
+# line-by-line parser alone.
+CORPUS = [
+    ("plain", HEAD + "3.0,2.0,0.5\n1.0,1.0,0.25\n", True),
+    ("weight column", "time,energy,angle,weight\n1,2,0.5,0.3\n0,2,0.5,1e-3\n",
+     True),
+    ("spaces in fields", HEAD + " 1.0 , 2.0 ,3.0 \n", True),
+    ("crlf", "# c\r\ntime,energy,angle\r\n1.0,2.0,3.0\r\n2.0,2.0,3.0\r\n", True),
+    ("lone cr", "time,energy,angle\r1.0,2.0,3.0\r2.0,2.0,3.0\r", True),
+    ("underscore digits", HEAD + "1_0,2.0,3.0\n", None),
+    ("arabic-indic digit", HEAD + "\u0661,2.0,3.0\n", None),
+    ("fullwidth digit", HEAD + "\uff11,2.0,3.0\n", None),
+    ("comment after header", HEAD + "1.0,2.0,3.0\n# note\n2.0,2.0,3.0\n", None),
+    ("blank line after header", HEAD + "\n1.0,2.0,3.0\n\n", None),
+    ("whitespace line after header", HEAD + "1.0,2.0,3.0\n   \t\n", None),
+    ("trailing comment on row", HEAD + "1.0,2.0,3.0 # note\n", None),
+    ("empty field", HEAD + "1.0,,3.0\n", None),
+    ("trailing comma", HEAD + "1.0,2.0,3.0,\n", None),
+    ("short row", HEAD + "1.0,2.0,3.0\n1.0,2.0\n", None),
+    ("hex", HEAD + "0x10,2.0,3.0\n", None),
+    ("1e400", HEAD + "1e400,2.0,3.0\n", True),
+    ("1e-400", HEAD + "1.0,1e-400,3.0\n", True),
+    ("nan", HEAD + "1.0,nan,3.0\n", True),
+    ("infinity", HEAD + "1.0,2.0,infinity\n", True),
+    ("negative angle", HEAD + "1.0,2.0,-1e-300\n", True),
+    # np.loadtxt strips U+001C..U+001F from a field's ends, float() does not
+    ("separator inside row", HEAD + "1.0,2.0\x1c,3.0\n", False),
+    ("separator at row end", HEAD + "1.0,2.0,3.0\x1f\n", False),
+    ("unicode spaces", HEAD + "1.0,\u20002.0,3.0\xa0\n", True),
+    ("nul", HEAD + "1.0,2.0,3.0\x00\n", None),
+    ("empty file", "", False),
+    ("header only", HEAD, False),
+    ("comments and header", "# a\n# b\n" + HEAD + "# c\n", False),
+    ("bad header", "# c\nenergy,time,angle\n1,2,3\n", False),
+]
+
+
+def _outcome(path):
+    """read_events's arrays as bytes, or its error message."""
+    try:
+        ev, w = read_events(path)
+    except ValueError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (ev.t, ev.energy, ev.angle)] + [
+        None if w is None else w.tobytes()]
+
+
+class TestSameAsLineParser:
+    @pytest.mark.parametrize("text, fast", [c[1:] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_corpus(self, tmp_path, monkeypatch, text, fast):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(text.encode())
+        columns = eventio._read_columns_fast(path)
+        if fast is not None:
+            assert (columns is not None) == fast
+        if columns is not None:
+            exact = eventio._read_columns(path)
+            assert list(columns) == list(exact)
+            for name, values in exact.items():
+                assert columns[name].tobytes() == values.tobytes()
+        got = _outcome(path)
+        monkeypatch.setattr(eventio, "_read_columns_fast", lambda path: None)
+        assert got == _outcome(path)
+
+    def test_round_trip_of_random_doubles(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 100_000
+
+        def doubles():
+            x = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+            x = np.where(np.isfinite(x), x, 1.0)
+            x[:4] = [5e-324, 1e300, 2.2250738585072014e-308, 1e-310]
+            return x
+
+        ev = EventList(t=np.sort(doubles()), energy=np.abs(doubles()),
+                       angle=np.abs(doubles()))
+        weights = doubles()
+        assert np.sum(np.abs(ev.t) < 2.2250738585072014e-308) > 2
+        path = tmp_path / "ev.csv"
+        write_events(path, ev, weights=weights)
+        assert eventio._read_columns_fast(path) is not None
+        back, w = read_events(path)
+        for got, want in ((back.t, ev.t), (back.energy, ev.energy),
+                          (back.angle, ev.angle), (w, weights)):
+            assert got.tobytes() == want.tobytes()
+        got = _outcome(path)
+        monkeypatch.setattr(eventio, "_read_columns_fast", lambda path: None)
+        assert got == _outcome(path)
+
+
+class TestNoWarnings:
+    @pytest.mark.parametrize("text", [
+        HEAD, "# a\n\n# b\n" + HEAD, HEAD + "\n  \n# c\n"])
+    def test_no_rows_raise_without_numpy_warning(self, tmp_path, text):
+        path = tmp_path / "ev.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no event rows"):
+                read_events(path)
