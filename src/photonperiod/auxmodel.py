@@ -5,13 +5,14 @@ information about source vs background origin.  Densities factorize as an
 energy marginal times an angle conditional; weight functions map z to a
 weight, the principled choice being the posterior source probability.
 Weight moments and efficiencies are nested adaptive Gauss-Kronrod integrals
-(`scipy.integrate.cubature`) over energy and angle, to 1e-9 relative.
+over energy and angle, to 1e-9 relative: each pass of the energy integral
+bisects all its unresolved intervals at once and takes one angle integral
+over all of its new energy nodes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import expit
 
 __all__ = [
@@ -45,21 +46,94 @@ __all__ = [
 # for integrals that vanish.
 _RTOL = 1e-9
 _ATOL = 1e-13
+# Most intervals one integral may hold; past it the integral has not converged.
+_MAX_INTERVALS = 10_000
+
+# The 21-point Kronrod rule on [-1, 1] (QUADPACK dqk21): nodes, weights, and
+# the weights of the 10-point Gauss rule it embeds at the odd-indexed nodes.
+_GK_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_NODES = np.concatenate([-_GK_NODES, _GK_NODES[-2::-1]])
+_K_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_G_WEIGHTS = np.zeros(11)
+_G_WEIGHTS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338]
+# (21, 2): Kronrod and Gauss weights, one column each
+_GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]])
+                        for w in (_K_WEIGHTS, _G_WEIGHTS)], axis=1)
 
 
 class QuadratureError(RuntimeError):
     pass
 
 
+def _gauss_kronrod(fn, lo, hi):
+    """Kronrod estimates and |Kronrod - Gauss| errors, (intervals, components),
+    of fn on the intervals [lo, hi], from one call of fn at all their nodes."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    vals = np.asarray(fn(x.ravel()), dtype=float)
+    shape = vals.shape[1:]
+    vals = vals.reshape(lo.size, _GK_NODES.size, -1)
+    kg = vals.transpose(0, 2, 1) @ _GK_WEIGHTS * half[:, None, None]
+    return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), shape
+
+
+def _unconverged(total, total_err):
+    return QuadratureError(
+        "quadrature did not converge: achieved abs error %.3g on value %.3g"
+        % (np.max(total_err), np.max(np.abs(total))))
+
+
 def _integral(fn, a, b):
-    """Integral over [a, b] of fn(x), an array per node of the 1-D array x."""
-    res = integrate.cubature(lambda x: fn(x[:, 0]), [a], [b], rtol=_RTOL,
-                             atol=_ATOL)
-    if res.status != "converged":
-        raise QuadratureError(
-            "quadrature did not converge: achieved abs error %.3g on value %.3g"
-            % (np.max(res.error), np.max(np.abs(res.estimate))))
-    return res.estimate
+    """Integral over [a, b] of fn(x), an array per node of the 1-D array x.
+
+    Adaptive 21-point Gauss-Kronrod by levels.  Each pass bisects every
+    interval whose error, in any component, exceeds that interval's width
+    share of the tolerance _ATOL + _RTOL |estimate|, and evaluates fn once at
+    all the new nodes.  It stops when every component's summed error is
+    within the tolerance, and raises QuadratureError where the error is not
+    finite, an interval can no longer be bisected in floating point or the
+    intervals would pass _MAX_INTERVALS.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    est, err, shape = _gauss_kronrod(fn, lo, hi)
+    while True:
+        total, total_err = est.sum(axis=0), err.sum(axis=0)
+        if not np.isfinite(total_err).all():
+            raise _unconverged(total, total_err)
+        tol = _ATOL + _RTOL * np.abs(total)
+        if np.all(total_err <= tol):
+            return total.reshape(shape)
+        ratio = err / tol
+        split = np.any(ratio > ((hi - lo) / (b - a))[:, None], axis=1)
+        if not split.any():  # the shares' rounding: bisect the worst interval
+            split = np.arange(lo.size) == np.argmax(np.max(ratio, axis=1))
+        mid = 0.5 * (lo[split] + hi[split])
+        if (lo.size + np.count_nonzero(split) > _MAX_INTERVALS
+                or not np.all((lo[split] < mid) & (mid < hi[split]))):
+            raise _unconverged(total, total_err)
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_est, new_err, _ = _gauss_kronrod(fn, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        est = np.concatenate([est[keep], new_est])
+        err = np.concatenate([err[keep], new_err])
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +542,10 @@ def _expectations(g, densities):
     """Integrals of g(E, phi) against f_B (row 0) and f_S (row 1), in one pass.
 
     g maps node arrays (e, phi) to a sequence of k value arrays.  The outer
-    integral runs over the union of the energy supports; each batch of its
-    nodes takes one inner integral over [0, max r_max].  g is evaluated once
-    per node, and not where both densities vanish.  Returns shape (2, k).
+    integral runs over the union of the energy supports; each of its passes
+    takes one inner integral over [0, max r_max] for all of its new nodes.
+    g is evaluated once per node, and not where both densities vanish.
+    Returns shape (2, k).
     """
     pdfs = (densities.pdf_background, densities.pdf_source)
     lows, highs = zip(densities.background_energy.support,
@@ -493,7 +568,8 @@ def _expectations(g, densities):
 
 
 def weight_moments(w, theta, densities):
-    """beta1, beta2, zeta1, zeta2 by nested adaptive Gauss-Kronrod integrals."""
+    """beta1, beta2, zeta1, zeta2 by nested adaptive Gauss-Kronrod integrals
+    (_integral), one call of w per pass of the inner angle integral."""
 
     def g(e, p):
         v = w(e, p)

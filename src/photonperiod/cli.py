@@ -103,8 +103,16 @@ def cmd_detect(args):
     template = cfg.template()
     model = cfg.model()
     events, file_weights = eventio.read_events(args.events)
-    w, theta = _resolve_weights(cfg, events, file_weights)
-    result = detector.detect(events, w, phase, template, theta=theta, T=model.T)
+    if cfg.weight_kind() == "optimal" and cfg.detect_theta() is None:
+        # detect takes the theta MLE and the posterior weights from one
+        # evaluation of both densities at the events
+        result = detector.detect(events, None, phase, template,
+                                 densities=cfg.densities(), T=model.T)
+        _err("theta MLE: %.6f" % result.theta_used)
+    else:
+        w, theta = _resolve_weights(cfg, events, file_weights)
+        result = detector.detect(events, w, phase, template, theta=theta,
+                                 T=model.T)
     print(result.to_json())
     return 0
 

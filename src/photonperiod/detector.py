@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .auxmodel import optimal_weight_fn
+from .auxmodel import _posterior, _weight_theta
 from .lightcurve import (_harmonic_sums, _times_and_weights, _unit_phasors,
                          eval_profile, phase_of)
 
@@ -116,12 +116,18 @@ def estimate_theta(z_values, densities, tol=1e-8):
     from the last point if it lies in the final bracket, narrower than tol,
     or else the bracket's midpoint.
     """
-    if hasattr(z_values, "z"):
-        e, phi = z_values.z
-    else:
-        e, phi = z_values
-    fs = np.asarray(densities.pdf_source(e, phi), dtype=float)
-    fb = np.asarray(densities.pdf_background(e, phi), dtype=float)
+    return _theta_mle(*_densities_at(z_values, densities), tol)
+
+
+def _densities_at(z_values, densities):
+    """f_S and f_B at the observations: events or an (e, phi) pair."""
+    e, phi = z_values.z if hasattr(z_values, "z") else z_values
+    return (np.asarray(densities.pdf_source(e, phi), dtype=float),
+            np.asarray(densities.pdf_background(e, phi), dtype=float))
+
+
+def _theta_mle(fs, fb, tol=1e-8):
+    """estimate_theta from f_S and f_B at the observations."""
     if fs.size == 0:
         raise ValueError("no observations")
     if np.any((fs <= 0) & (fb <= 0)):
@@ -304,16 +310,19 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
             "be negligible" % (model.f * T),
             stacklevel=2,
         )
-    if theta is not None:
+    if weight_fn is None:
+        if densities is None:
+            raise ValueError("optimal weights need theta (or its MLE) and densities")
+        # one evaluation of both densities serves the MLE and the weights
+        fs, fb = _densities_at(events, densities)
+        theta_used = _theta_mle(fs, fb) if theta is None else float(theta)
+        weight_fn = _posterior(_weight_theta(theta_used), fs, fb)
+    elif theta is not None:
         theta_used = float(theta)
     elif densities is not None:
         theta_used = estimate_theta(events, densities)
     else:
         theta_used = float("nan")
-    if weight_fn is None:
-        if densities is None or not np.isfinite(theta_used):
-            raise ValueError("optimal weights need theta (or its MLE) and densities")
-        weight_fn = optimal_weight_fn(theta_used, densities)
 
     w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
     w = np.asarray(w, dtype=float)

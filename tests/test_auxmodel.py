@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,6 +249,92 @@ class TestCutClosedForm:
         wf = cut_weight_fn(e_lo=2.2, phi_max=2.0)
         assert weight_moments(lambda e, p: wf(e, p), 0.2, dens) == \
             weight_moments(wf, 0.2, dens)
+
+
+def benchmark_power_densities():
+    """The power benchmark's densities: sigma = 1, R = 5, E^-2 source and
+    E^-2.7 background spectra on [1, 5]."""
+    return DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                        sigma=1.0).density_pair(
+        am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))
+
+
+class TestIntegral:
+    """The adaptive Gauss-Kronrod integral behind every weight moment."""
+
+    def test_step_at_non_dyadic_edge(self):
+        edge = np.pi / 9  # no bisection of [0, 1] lands on it
+        value = am._integral(lambda x: np.where(x <= edge, 2.0, 0.5), 0.0, 1.0)
+        assert value == pytest.approx(0.5 + 1.5 * edge, rel=1e-9, abs=0)
+
+    def test_vanishing_components_converge_on_the_absolute_tolerance(self):
+        # the second integrand is identically zero, the third integrates to
+        # 0 by symmetry, so that no relative tolerance can be met for it
+        value = am._integral(
+            lambda x: np.stack([np.exp(x), np.zeros_like(x),
+                                np.sin(2.0 * np.pi * x)], axis=1), 0.0, 2.0)
+        assert value[0] == pytest.approx(np.expm1(2.0), rel=1e-9, abs=0)
+        assert value[1] == 0.0
+        assert abs(value[2]) <= am._ATOL
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: 1.0 / x,
+        lambda x: np.full_like(x, np.inf),
+    ], ids=["inverse", "infinite"])
+    def test_divergent_integral_raises(self, fn):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return fn(x)
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(am.QuadratureError, match="did not converge"):
+            am._integral(counted, 0.0, 1.0)
+        # one call a pass; 1,100 passes would bisect [0, 1] below 2^-1074
+        assert len(calls) < 1100
+        assert max(calls) <= 21 * am._MAX_INTERVALS
+
+    def test_benchmark_energy_angle_cut_calls(self):
+        """The power benchmark's E >= 4.3, phi <= 2 cut: one weight call per
+        inner pass over all the energy nodes of an outer pass."""
+        wf = cut_weight_fn(e_lo=4.3, phi_max=2.0)
+        calls = []
+
+        def counted(e, phi):
+            calls.append(np.size(e))
+            return wf(e, phi)
+
+        m = weight_moments(counted, 0.1, benchmark_power_densities())
+        assert m == weight_moments(wf, 0.1, benchmark_power_densities())
+        assert len(calls) <= 2000
+
+
+class TestMovingCutEdge:
+    def test_edge_linear_in_energy_against_mpmath(self):
+        """The cut phi <= a + b E has its angle edge at a different place at
+        every energy node: the level-wise bisection finds them all without
+        being told where they are."""
+        a, b = 0.7, 0.37
+        theta = 0.1
+        m = weight_moments(lambda e, phi: (phi <= a + b * e).astype(float),
+                           theta, benchmark_power_densities())
+        with mpmath.workdps(30):
+            def spectrum(index):
+                g = 1 - mpmath.mpf(index)
+                return lambda e: e ** -mpmath.mpf(index) * g / (5 ** g - 1)
+
+            f_s, f_b = spectrum(2.0), spectrum(2.7)
+            psf_mass = -mpmath.expm1(-mpmath.mpf(25) / 2)
+            beta1 = float(mpmath.quad(
+                lambda e: f_b(e) * ((a + b * e) / 5) ** 2, [1, 5]))
+            zeta1 = float(mpmath.quad(
+                lambda e: f_s(e) * -mpmath.expm1(-(a + b * e) ** 2 / 2) / psf_mass,
+                [1, 5]))
+        assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.beta2 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0)
+        assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
 
 
 class TestEfficiency:

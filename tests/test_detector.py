@@ -466,6 +466,29 @@ class TestDetect:
         assert 0.3 < res.theta_used < 0.7
         assert res.p_value < 1e-10
 
+    def test_optimal_weights_from_one_density_evaluation(self):
+        """The MLE and the posterior weights share one evaluation of each
+        density at the events, and give the bits of the two-step route."""
+        ev = self._events()
+        calls = []
+
+        class Counted:
+            def pdf_source(self, e, phi):
+                calls.append("source")
+                return DENS.pdf_source(e, phi)
+
+            def pdf_background(self, e, phi):
+                calls.append("background")
+                return DENS.pdf_background(e, phi)
+
+        args = (PhaseModel(f=5.0), HarmonicTemplate([1.0, 0.5]))
+        res = detect(ev, None, *args, densities=Counted(), T=100.0)
+        assert sorted(calls) == ["background", "source"]
+        theta = estimate_theta(ev, DENS)
+        two_step = detect(ev, optimal_weight_fn(theta, DENS), *args,
+                          theta=theta, T=100.0)
+        assert res.to_json() == two_step.to_json()
+
     def test_null_not_detected(self):
         ev = self._events(theta=0.0, seed=13)
         res = detect(ev, unit_weight(), PhaseModel(f=5.0),
