@@ -81,6 +81,14 @@ def cmd_simulate(args):
     return 0
 
 
+def _concrete_weight(cfg, theta, command):
+    """The configured WeightFunction, with theta the fallback for weight.theta."""
+    wf = cfg.weight(theta)
+    if wf is None:
+        raise ConfigError("weight", "%s needs a concrete weight kind" % command)
+    return wf
+
+
 def _resolve_weights(cfg, events, file_weights):
     """Per-event weights plus the theta they use (None if none), per the config."""
     kind = cfg.weight_kind()
@@ -93,7 +101,7 @@ def _resolve_weights(cfg, events, file_weights):
     if kind in ("optimal", "optimal-no-spectrum") and theta is None:
         theta = detector.estimate_theta(events, cfg.densities())
         _err("theta MLE: %.6f" % theta)
-    wf = cfg.weight(theta=theta)
+    wf = cfg.weight(theta)
     return np.asarray(wf(events.energy, events.angle), dtype=float), theta
 
 
@@ -144,9 +152,7 @@ def cmd_power(args):
     if kind == "unit":
         eff_w = 1.0
     else:
-        wf = cfg.weight(theta=cfg.detect_theta() or model.theta)
-        if wf is None:
-            raise ConfigError("weight", "power prediction needs a concrete weight")
+        wf = _concrete_weight(cfg, model.theta, "power prediction")
         moments = auxmodel.weight_moments(wf, model.theta, cfg.densities())
         eff_w = auxmodel.weight_efficiency(moments, model.theta)
     pred = power.predicted_snr(model.theta, model.T, model.mu0, eff_w,
@@ -172,15 +178,12 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
     densities = cfg.densities()
     phase = cfg.phase()
     template = cfg.template()
-    theta = cfg.detect_theta() or model.theta
-    wf = cfg.weight(theta=theta)
-    if wf is None:
-        raise ConfigError("weight", "calibrate needs a concrete weight kind")
+    wf = _concrete_weight(cfg, model.theta, "calibrate")
     children = np.random.SeedSequence(seed).spawn(replicates)
     pvals, scaled, qts = [], [], []
     for i in range(start, stop):
         ev = simulator.simulate(model, densities, tau=0.0, seed=children[i])
-        r = detector.detect(ev, wf, phase, template, theta=theta, T=model.T)
+        r = detector.detect(ev, wf, phase, template, T=model.T)
         pvals.append(r.p_value)
         scaled.append(2.0 * r.an_sq / r.sum_w2)
         qts.append(r.qt)

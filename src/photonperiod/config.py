@@ -7,6 +7,7 @@ objects; units are declarative (recorded, never converted).
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from . import auxmodel, lightcurve, simulator
 from .scan import ScanSpec
 
 __all__ = ["ConfigError", "Config", "load_config"]
+
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -24,22 +27,57 @@ class ConfigError(ValueError):
         super().__init__("config field %r: %s" % (field, message))
 
 
-def _value(obj, field):
-    if isinstance(obj, dict):
-        if "value" not in obj:
-            raise ConfigError(field, "quantity object needs a 'value' key")
-        obj = obj["value"]
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ConfigError(field, "expected a number, got %r" % (obj,))
-    return float(obj)
+@contextmanager
+def _as_config_error(field):
+    """Report a ValueError from building a value as a ConfigError on field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(field, str(exc))
 
 
-def _get(section, key, field, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(field, "missing")
+class _Section:
+    """The JSON object at a dotted path; each read names its field."""
+
+    def __init__(self, obj, path):
+        if not isinstance(obj, dict):
+            raise ConfigError(path, "expected a JSON object, got %r" % (obj,))
+        self.obj = obj
+        self.path = path
+
+    def field(self, key):
+        return "%s.%s" % (self.path, key) if self.path else key
+
+    def get(self, key, default=_REQUIRED):
+        if key in self.obj:
+            return self.obj[key]
+        if default is _REQUIRED:
+            raise ConfigError(self.field(key), "missing")
         return default
-    return section[key]
+
+    def section(self, key, optional=False):
+        """The sub-object at key; None if optional and absent or null."""
+        obj = self.get(key, None if optional else _REQUIRED)
+        return None if optional and obj is None else _Section(obj, self.field(key))
+
+    def number(self, key, default=_REQUIRED):
+        """A float; a quantity object {"value": x, "unit": u} gives x."""
+        obj, field = self.get(key, default), self.field(key)
+        if isinstance(obj, dict):
+            if "value" not in obj:
+                raise ConfigError(field, "quantity object needs a 'value' key")
+            obj = obj["value"]
+        if not isinstance(obj, (int, float)) or isinstance(obj, bool) or obj != obj:
+            raise ConfigError(field, "expected a number, got %r" % (obj,))
+        return float(obj)
+
+    def integer(self, key, default=_REQUIRED):
+        value = self.number(key, default)
+        if not value.is_integer():
+            raise ConfigError(self.field(key), "expected an integer, got %r" % value)
+        return int(value)
 
 
 class Config:
@@ -47,44 +85,40 @@ class Config:
         if not isinstance(doc, dict):
             raise ConfigError("<root>", "config must be a JSON object")
         self.doc = doc
+        self._root = _Section(doc, "")
         self._densities = None
 
     # -- sections -----------------------------------------------------------
 
     def phase(self):
-        sec = _get(self.doc, "phase", "phase", required=True)
-        f = _value(_get(sec, "f", "phase.f", required=True), "phase.f")
+        sec = self._root.section("phase")
+        f = sec.number("f")
         if f <= 0:
             raise ConfigError("phase.f", "must be positive")
-        fdot = _value(_get(sec, "fdot", "phase.fdot", default=0.0), "phase.fdot")
-        epoch = _value(_get(sec, "epoch", "phase.epoch", default=0.0), "phase.epoch")
-        return lightcurve.PhaseModel(f=f, fdot=fdot, epoch=epoch)
+        return lightcurve.PhaseModel(f=f, fdot=sec.number("fdot", 0.0),
+                                     epoch=sec.number("epoch", 0.0))
 
     def profile(self):
-        sec = _get(self.doc, "profile", "profile")
+        sec = self._root.section("profile", optional=True)
         if sec is None:
             return lightcurve.LightCurveProfile.constant()
-        eta = _value(_get(sec, "eta", "profile.eta", default=1.0), "profile.eta")
-        raw = _get(sec, "coeffs", "profile.coeffs", required=True)
+        eta = sec.number("eta", 1.0)
+        raw = sec.get("coeffs")
         try:
             coeffs = np.array([complex(re, im) for re, im in raw])
         except (TypeError, ValueError):
             raise ConfigError("profile.coeffs", "expected [[re, im], ...]")
-        try:
+        with _as_config_error("profile"):
             return lightcurve.LightCurveProfile(coeffs, eta=eta)
-        except ValueError as exc:
-            raise ConfigError("profile", str(exc))
 
     def template(self):
-        sec = _get(self.doc, "template", "template", required=True)
-        if "amps_sq" in sec:
-            try:
+        sec = self._root.section("template")
+        if "amps_sq" in sec.obj:
+            with _as_config_error("template.amps_sq"):
                 return lightcurve.HarmonicTemplate(
-                    np.asarray(sec["amps_sq"], dtype=float))
-            except ValueError as exc:
-                raise ConfigError("template.amps_sq", str(exc))
-        kind = _get(sec, "kind", "template.kind", default="z")
-        m = int(_value(_get(sec, "m", "template.m", default=10), "template.m"))
+                    np.asarray(sec.obj["amps_sq"], dtype=float))
+        kind = sec.get("kind", "z")
+        m = sec.integer("m", 10)
         if kind != "z":
             raise ConfigError("template.kind", "unknown kind %r" % kind)
         if m < 1:
@@ -92,133 +126,102 @@ class Config:
         return lightcurve.HarmonicTemplate.z_test(m)
 
     def model(self):
-        sec = _get(self.doc, "model", "model", required=True)
-        mu = _value(_get(sec, "mu", "model.mu", required=True), "model.mu")
-        theta = _value(_get(sec, "theta", "model.theta", required=True),
-                       "model.theta")
+        sec = self._root.section("model")
+        mu = sec.number("mu")
+        theta = sec.number("theta")
         if not 0 <= theta <= 1:
             raise ConfigError("model.theta", "must lie in [0, 1]")
-        T = _value(_get(sec, "T", "model.T", required=True), "model.T")
+        T = sec.number("T")
         if T <= 0:
             raise ConfigError("model.T", "must be positive")
-        sens = self._sensitivity(_get(sec, "sensitivity", "model.sensitivity"), T)
-        try:
+        sens = self._sensitivity(sec.section("sensitivity", optional=True), T)
+        with _as_config_error("model"):
             return simulator.RateModel(mu=mu, theta=theta, profile=self.profile(),
                                        phase=self.phase(), T=T, sensitivity=sens)
-        except ValueError as exc:
-            raise ConfigError("model", str(exc))
 
     def tau(self):
-        sec = _get(self.doc, "model", "model", default={})
-        return _value(_get(sec, "tau", "model.tau", default=0.0), "model.tau")
+        sec = self._root.section("model", optional=True)
+        return 0.0 if sec is None else sec.number("tau", 0.0)
 
     def _sensitivity(self, sec, T):
         if sec is None:
             return None
-        kind = _get(sec, "kind", "model.sensitivity.kind", required=True)
+        kind = sec.get("kind")
         if kind == "constant":
-            level = _value(_get(sec, "level", "model.sensitivity.level",
-                                default=1.0), "model.sensitivity.level")
-            return simulator.sensitivity_constant(level)
+            return simulator.sensitivity_constant(sec.number("level", 1.0))
         if kind == "ramp":
-            c0 = _value(_get(sec, "c0", "model.sensitivity.c0", required=True),
-                        "model.sensitivity.c0")
-            c1 = _value(_get(sec, "c1", "model.sensitivity.c1", required=True),
-                        "model.sensitivity.c1")
-            return simulator.sensitivity_ramp(c0, c1, T)
+            return simulator.sensitivity_ramp(sec.number("c0"), sec.number("c1"), T)
         if kind == "window":
-            t_on = _value(_get(sec, "t_on", "model.sensitivity.t_on",
-                               required=True), "model.sensitivity.t_on")
-            t_off = _value(_get(sec, "t_off", "model.sensitivity.t_off",
-                                required=True), "model.sensitivity.t_off")
-            level = _value(_get(sec, "level", "model.sensitivity.level",
-                                default=1.0), "model.sensitivity.level")
-            return simulator.sensitivity_window(t_on, t_off, level)
-        raise ConfigError("model.sensitivity.kind", "unknown kind %r" % kind)
+            return simulator.sensitivity_window(
+                sec.number("t_on"), sec.number("t_off"), sec.number("level", 1.0))
+        raise ConfigError(sec.field("kind"), "unknown kind %r" % kind)
 
-    def _spectrum(self, sec, field):
-        kind = _get(sec, "kind", field + ".kind", default="flat")
-        e_min = _value(_get(sec, "e_min", field + ".e_min", default=0.1),
-                       field + ".e_min")
-        e_max = _value(_get(sec, "e_max", field + ".e_max", default=10.0),
-                       field + ".e_max")
+    def _spectrum(self, sec):
+        kind = sec.get("kind", "flat")
+        e_min, e_max = sec.number("e_min", 0.1), sec.number("e_max", 10.0)
         if kind == "flat":
             return auxmodel.FlatSpectrum(e_min, e_max)
         if kind == "powerlaw":
-            index = _value(_get(sec, "index", field + ".index", required=True),
-                           field + ".index")
-            return auxmodel.PowerLawSpectrum(index, e_min, e_max)
-        raise ConfigError(field + ".kind", "unknown kind %r" % kind)
+            return auxmodel.PowerLawSpectrum(sec.number("index"), e_min, e_max)
+        raise ConfigError(sec.field("kind"), "unknown kind %r" % kind)
 
     def geometry(self):
-        sec = _get(self.doc, "densities", "densities", required=True)
-        geo = _get(sec, "geometry", "densities.geometry", required=True)
-        try:
+        geo = self._root.section("densities").section("geometry")
+        with _as_config_error("densities.geometry"):
             return auxmodel.DiskGeometry(
-                R=_value(_get(geo, "R", "densities.geometry.R", required=True),
-                         "densities.geometry.R"),
-                rho=_value(_get(geo, "rho", "densities.geometry.rho",
-                                required=True), "densities.geometry.rho"),
-                alpha_rate=_value(
-                    _get(geo, "alpha_rate", "densities.geometry.alpha_rate",
-                         required=True), "densities.geometry.alpha_rate"),
-                sigma=_value(_get(geo, "sigma", "densities.geometry.sigma",
-                                  required=True), "densities.geometry.sigma"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("densities.geometry", str(exc))
+                R=geo.number("R"), rho=geo.number("rho"),
+                alpha_rate=geo.number("alpha_rate"), sigma=geo.number("sigma"))
 
     def densities(self):
         """The AuxDensityPair, built (and its normalization checked) once."""
         if self._densities is not None:
             return self._densities
-        sec = _get(self.doc, "densities", "densities", required=True)
-        geom = self.geometry()
-        src = _get(sec, "source_spectrum", "densities.source_spectrum")
-        bkg = _get(sec, "background_spectrum", "densities.background_spectrum")
-        src_spec = self._spectrum(src, "densities.source_spectrum") if src else None
-        bkg_spec = self._spectrum(bkg, "densities.background_spectrum") if bkg else src_spec
-        try:
-            self._densities = geom.density_pair(src_spec, bkg_spec)
-        except ValueError as exc:
-            raise ConfigError("densities", str(exc))
+        sec = self._root.section("densities")
+        # a null or empty spectrum is absent; bkg defaults to src
+        src, bkg = [self._spectrum(sec.section(key)) if sec.get(key, None) else None
+                    for key in ("source_spectrum", "background_spectrum")]
+        with _as_config_error("densities"):
+            self._densities = self.geometry().density_pair(src, bkg or src)
         return self._densities
+
+    def _weight(self):
+        """The weight section (empty if absent), its kind and its theta."""
+        sec = self._root.section("weight", optional=True) or _Section({}, "weight")
+        theta = sec.number("theta") if "theta" in sec.obj else None
+        if theta is not None and not 0 < theta <= 1:
+            raise ConfigError("weight.theta", "must lie in (0, 1]")
+        return sec, sec.get("kind", "unit"), theta
+
+    def weight_kind(self):
+        return self._weight()[1]
+
+    def detect_theta(self):
+        """The configured weight.theta, or None."""
+        return self._weight()[2]
 
     def weight(self, theta=None):
         """Build the configured WeightFunction.
 
-        Returns None for kind 'precomputed' (the caller takes weights from the
-        event file), and for the optimal kinds when no theta is configured or
-        given (the caller resolves it from the theta MLE).  theta overrides
-        the configured weight theta.
+        The optimal kinds use weight.theta if set, else the fallback theta.
+        None for kind 'precomputed' (weights come from the event file), and
+        for the optimal kinds when neither theta is known.
         """
-        sec = _get(self.doc, "weight", "weight", default={"kind": "unit"})
-        kind = _get(sec, "kind", "weight.kind", default="unit")
+        sec, kind, configured = self._weight()
         if kind == "precomputed":
             return None
         if kind == "unit":
             return auxmodel.unit_weight()
         if kind == "cut":
-            cut = _get(sec, "cut", "weight.cut", required=True)
-            try:
+            cut = sec.section("cut")
+            with _as_config_error("weight.cut"):
                 return auxmodel.cut_weight_fn(
-                    e_lo=_value(_get(cut, "e_lo", "weight.cut.e_lo",
-                                     default=-np.inf), "weight.cut.e_lo"),
-                    e_hi=_value(_get(cut, "e_hi", "weight.cut.e_hi",
-                                     default=np.inf), "weight.cut.e_hi"),
-                    phi_max=_value(_get(cut, "phi_max", "weight.cut.phi_max",
-                                        default=np.inf), "weight.cut.phi_max"),
-                )
-            except ValueError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError("weight.cut", str(exc))
+                    e_lo=cut.number("e_lo", -np.inf),
+                    e_hi=cut.number("e_hi", np.inf),
+                    phi_max=cut.number("phi_max", np.inf))
         if kind == "psf-gaussian":
             return auxmodel.psf_gaussian_weight_fn(self.geometry())
         if kind in ("optimal", "optimal-no-spectrum"):
-            th = self.detect_theta() if theta is None else theta
+            th = theta if configured is None else configured
             if th is None:
                 return None
             build = (auxmodel.optimal_weight_fn if kind == "optimal"
@@ -226,44 +229,21 @@ class Config:
             return build(th, self.densities())
         raise ConfigError("weight.kind", "unknown kind %r" % kind)
 
-    def weight_kind(self):
-        sec = _get(self.doc, "weight", "weight", default={"kind": "unit"})
-        return _get(sec, "kind", "weight.kind", default="unit")
-
-    def detect_theta(self):
-        sec = _get(self.doc, "weight", "weight", default={})
-        if "theta" in sec:
-            th = _value(sec["theta"], "weight.theta")
-            if not 0 < th <= 1:
-                raise ConfigError("weight.theta", "must lie in (0, 1]")
-            return th
-        return None
-
     def scan_spec(self, T):
-        sec = _get(self.doc, "scan", "scan", required=True)
-        fdot = _get(sec, "fdot", "scan.fdot", default=0.0)
+        sec = self._root.section("scan")
+        fdot = sec.get("fdot", 0.0)
         if isinstance(fdot, list):
             if len(fdot) != 3:
                 raise ConfigError("scan.fdot", "range needs [lo, hi, steps]")
-            fdot = (float(fdot[0]), float(fdot[1]), int(fdot[2]))
+            rng = _Section(dict(zip(("lo", "hi", "steps"), fdot)), "scan.fdot")
+            fdot = (rng.number("lo"), rng.number("hi"), rng.integer("steps"))
         else:
-            fdot = _value(fdot, "scan.fdot")
-        try:
+            fdot = sec.number("fdot", 0.0)
+        with _as_config_error("scan"):
             return ScanSpec(
-                f_lo=_value(_get(sec, "f_lo", "scan.f_lo", required=True),
-                            "scan.f_lo"),
-                f_hi=_value(_get(sec, "f_hi", "scan.f_hi", required=True),
-                            "scan.f_hi"),
-                fdot=fdot,
-                oversample=_value(_get(sec, "oversample", "scan.oversample",
-                                       default=10.0), "scan.oversample"),
-                max_points=int(_value(_get(sec, "max_points", "scan.max_points",
-                                           default=10**7), "scan.max_points")),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("scan", str(exc))
+                f_lo=sec.number("f_lo"), f_hi=sec.number("f_hi"), fdot=fdot,
+                oversample=sec.number("oversample", 10.0),
+                max_points=sec.integer("max_points", 10**7))
 
 
 def load_config(path):

@@ -38,6 +38,8 @@ class ScanSpec:
             raise ValueError("need f_lo < f_hi")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
+        if not np.isscalar(self.fdot) and self.fdot[2] < 1:
+            raise ValueError("fdot steps must be >= 1")
 
     def fdot_values(self):
         if np.isscalar(self.fdot):

@@ -37,6 +37,8 @@ class TestGrid:
             ScanSpec(f_lo=2.0, f_hi=1.0)
         with pytest.raises(ValueError):
             ScanSpec(f_lo=1.0, f_hi=2.0, oversample=0.5)
+        with pytest.raises(ValueError, match="fdot steps"):
+            ScanSpec(f_lo=1.0, f_hi=2.0, fdot=(0.0, 1e-9, 0))
 
     def test_fdot_range(self):
         spec = ScanSpec(f_lo=1.0, f_hi=2.0, fdot=(-1e-6, 1e-6, 5))
