@@ -79,6 +79,16 @@ class _Section:
             raise ConfigError(self.field(key), "expected an integer, got %r" % value)
         return int(value)
 
+    def finite_list(self, key):
+        """A list of finite numbers, each read as the field itself."""
+        raw, field = self.get(key), self.field(key)
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(field, "expected a list, got %r" % (raw,))
+        values = [_Section({key: x}, self.path).number(key) for x in raw]
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(field, "expected finite numbers, got %r" % (raw,))
+        return values
+
 
 class Config:
     def __init__(self, doc):
@@ -103,20 +113,21 @@ class Config:
         if sec is None:
             return lightcurve.LightCurveProfile.constant()
         eta = sec.number("eta", 1.0)
-        raw = sec.get("coeffs")
-        try:
-            coeffs = np.array([complex(re, im) for re, im in raw])
-        except (TypeError, ValueError):
+        pairs = sec.get("coeffs")
+        if not isinstance(pairs, (list, tuple)) or any(
+                not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
             raise ConfigError("profile.coeffs", "expected [[re, im], ...]")
+        coeffs = [complex(*_Section({"coeffs": p}, sec.path).finite_list("coeffs"))
+                  for p in pairs]
         with _as_config_error("profile"):
             return lightcurve.LightCurveProfile(coeffs, eta=eta)
 
     def template(self):
         sec = self._root.section("template")
         if "amps_sq" in sec.obj:
+            amps_sq = sec.finite_list("amps_sq")
             with _as_config_error("template.amps_sq"):
-                return lightcurve.HarmonicTemplate(
-                    np.asarray(sec.obj["amps_sq"], dtype=float))
+                return lightcurve.HarmonicTemplate(amps_sq)
         kind = sec.get("kind", "z")
         m = sec.integer("m", 10)
         if kind != "z":

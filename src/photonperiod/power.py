@@ -18,10 +18,13 @@ not independent), the null variance is
 i.e. the weighted-chi-square model with one chi-square(2) term per n >= 1
 and coefficient |alpha_n|^2 E(W^2) mu0 T.  Monte Carlo confirms this
 variance; treating the +-n pair as independent would halve it.
+
+The mismatch functions index one Monte Carlo table of the |A_n|^2 excess:
+each replicate is simulated once for every harmonic and offset.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "predicted_snr",
     "threshold_theta",
     "mismatch_factor",
+    "fit_mismatch_kappa",
     "mismatch_scan",
 ]
 
@@ -49,16 +53,7 @@ class PowerPrediction:
     mu0: float
 
     def to_json(self):
-        return json.dumps(
-            {
-                "snr": self.snr,
-                "efficiency_w": self.efficiency_w,
-                "template_match": self.template_match,
-                "theta": self.theta,
-                "T": self.T,
-                "mu0": self.mu0,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _match_ratio(template, source):
@@ -94,14 +89,9 @@ def predicted_snr(theta, T, mu0, eff_w, template, source):
         raise ValueError("need T > 0, mu0 > 0, eff_w > 0")
     match = _match_ratio(template, source)
     snr = theta**2 * T * mu0 * eff_w * match
-    return PowerPrediction(
-        snr=float(snr),
-        efficiency_w=float(eff_w),
-        template_match=float(match),
-        theta=float(theta),
-        T=float(T),
-        mu0=float(mu0),
-    )
+    return PowerPrediction(snr=float(snr), efficiency_w=float(eff_w),
+                           template_match=float(match), theta=float(theta),
+                           T=float(T), mu0=float(mu0))
 
 
 def threshold_theta(T, mu0, eff_w, template, source, target_snr):
@@ -114,24 +104,43 @@ def threshold_theta(T, mu0, eff_w, template, source, target_snr):
     return float(np.sqrt(target_snr / (T * mu0 * eff_w * match)))
 
 
-def _excess(model, densities, n, delta, mode, replicates, seed, tau):
-    """Mean |A_n|^2 excess over the null level, and its Monte Carlo stderr.
+def _check_offsets(mode, deltas):
+    if mode not in ("f-only", "f-and-fdot"):
+        raise ValueError("unknown mode %r" % mode)
+    if any(abs(d) >= 1.0 for d in deltas):
+        raise ValueError("outside regime: need |Delta| < 1")
 
-    Events are simulated from the model's own (true) phase and analyzed at
-    the phase offset by delta; unit weights, so the null E|A_n|^2 is the
-    expected event count.
+
+def _offset_phase(phase, delta, T, mode):
+    fdot = phase.fdot + (delta / T**2 if mode == "f-and-fdot" else 0.0)
+    return PhaseModel(f=phase.f + delta / T, fdot=fdot, epoch=phase.epoch)
+
+
+def _excess(model, densities, harmonics, deltas, mode, replicates, seed, tau):
+    """Mean |A_n|^2 excess over the null level, and its Monte Carlo stderr,
+    arrays of shape (len(harmonics), len(deltas)).
+
+    Each replicate is simulated once, from the model's own (true) phase, for
+    every harmonic and offset, and analyzed at the phase offset by each delta
+    with unit weights, so the null E|A_n|^2 is the expected event count.
+    Each entry sees the replicates that the seed gives that pair alone.
     """
-    phase_used = _offset_phase(model.phase, delta, model.T, mode)
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(replicates)
-    powers = np.empty(replicates)
-    for i, child in enumerate(children):
+    _check_offsets(mode, deltas)
+    if min(harmonics, default=1) < 1:
+        raise ValueError("harmonics must be >= 1")
+    phases = [_offset_phase(model.phase, d, model.T, mode) for d in deltas]
+    m = max(harmonics, default=1)
+    # replicates last: each (n, Delta) reduces one contiguous row
+    powers = np.empty((len(harmonics), len(deltas), replicates))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         ev = simulate(model, densities, tau=tau, seed=child)
         w = np.ones(len(ev))
-        an = fourier_coefficients(ev, w, phase_used, n)
-        powers[i] = np.abs(an[n - 1]) ** 2
-    se = float(np.std(powers, ddof=1) / np.sqrt(replicates))
-    return float(np.mean(powers)) - expected_count(model), se
+        for j, phase in enumerate(phases):
+            an = fourier_coefficients(ev, w, phase, m)
+            # scalar ** 2 (libm pow) and numpy's array x * x can differ
+            powers[:, j, i] = [np.abs(an[n - 1]) ** 2 for n in harmonics]
+    se = np.std(powers, axis=-1, ddof=1) / np.sqrt(replicates)
+    return np.mean(powers, axis=-1) - expected_count(model), se
 
 
 def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
@@ -145,10 +154,7 @@ def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
     1 - kappa (n Delta)^2 to empirical factors at small offsets and evaluates
     the fit at Delta.  Delta = 0 gives 1 in both modes, by definition.
     """
-    if abs(delta) >= 1.0:
-        raise ValueError("outside regime: need |Delta| < 1")
-    if mode not in ("f-only", "f-and-fdot"):
-        raise ValueError("unknown mode %r" % mode)
+    _check_offsets(mode, [delta])
     if via not in ("empirical", "quadratic-fit"):
         raise ValueError("unknown via %r" % via)
     if delta == 0.0:
@@ -157,27 +163,18 @@ def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
         kappa, _ = fit_mismatch_kappa(model, densities, n, mode=mode,
                                       replicates=replicates, seed=seed, tau=tau)
         return max(0.0, 1.0 - kappa * (n * delta) ** 2)
-    excess0, _ = _excess(model, densities, n, 0.0, mode, replicates, seed, tau)
-    excess, _ = _excess(model, densities, n, delta, mode, replicates, seed, tau)
-    return excess / excess0
-
-
-def _offset_phase(phase, delta, T, mode):
-    fdot = phase.fdot + (delta / T**2 if mode == "f-and-fdot" else 0.0)
-    return PhaseModel(f=phase.f + delta / T, fdot=fdot, epoch=phase.epoch)
+    excess, _ = _excess(model, densities, [n], [0.0, delta], mode, replicates,
+                        seed, tau)
+    return float(excess[0, 1] / excess[0, 0])
 
 
 def fit_mismatch_kappa(model, densities, n, mode="f-only", replicates=400,
                        seed=0, tau=0.0, deltas=(0.05, 0.1, 0.15, 0.2)):
     """Least-squares kappa in factor(Delta) = 1 - kappa (n Delta)^2."""
-    excess0, _ = _excess(model, densities, n, 0.0, mode, replicates, seed, tau)
-    x, y = [], []
-    for d in deltas:
-        f, _ = _excess(model, densities, n, d, mode, replicates, seed, tau)
-        x.append((n * d) ** 2)
-        y.append(1.0 - f / excess0)
-    x = np.asarray(x)
-    y = np.asarray(y)
+    excess, _ = _excess(model, densities, [n], [0.0, *deltas], mode,
+                        replicates, seed, tau)
+    x = np.array([(n * d) ** 2 for d in deltas])
+    y = 1.0 - excess[0, 1:] / excess[0, 0]
     kappa = float(np.dot(x, y) / np.dot(x, x))
     resid = y - kappa * x
     se = float(np.sqrt(np.sum(resid**2) / max(1, x.size - 1) / np.dot(x, x)))
@@ -187,18 +184,16 @@ def fit_mismatch_kappa(model, densities, n, mode="f-only", replicates=400,
 def mismatch_scan(model, densities, harmonics, deltas, mode="f-only",
                   replicates=400, seed=0, tau=0.0):
     """Table of (n, Delta, factor, mc_stderr) rows over a grid of offsets."""
+    excess, stderr = _excess(model, densities, harmonics, [0.0, *deltas], mode,
+                             replicates, seed, tau)
     rows = []
-    for n in harmonics:
-        base, base_se = _excess(model, densities, n, 0.0, mode, replicates,
-                                seed, tau)
-        for d in deltas:
+    for n, (base, *exc), (base_se, *se) in zip(harmonics, excess.tolist(),
+                                               stderr.tolist()):
+        for d, e, s in zip(deltas, exc, se):
             if d == 0.0:
                 rows.append((n, d, 1.0, 0.0))
                 continue
-            exc, se = _excess(model, densities, n, d, mode, replicates, seed,
-                              tau)
-            factor = exc / base
-            stderr = abs(factor) * np.hypot(se / exc if exc else np.inf,
-                                            base_se / base)
-            rows.append((n, d, factor, stderr))
+            factor = e / base
+            rel = np.hypot(s / e if e else np.inf, base_se / base)
+            rows.append((n, d, factor, float(abs(factor) * rel)))
     return rows

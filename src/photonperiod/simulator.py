@@ -14,8 +14,8 @@ altering one stage leaves the others untouched.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from .auxmodel import _integral
 from .lightcurve import LightCurveProfile, eval_profile, phase_of
 
 __all__ = [
@@ -138,15 +138,10 @@ class EventList:
 def simulate(model, densities, tau=0.0, seed=0):
     """Draw one event stream.  Deterministic given (model, densities, tau, seed)."""
     lam_max = model.rate_bound()
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    s_arrival, s_accept, s_label, s_z = ss.spawn(4)
-    rng_arrival = np.random.default_rng(s_arrival)
-    rng_accept = np.random.default_rng(s_accept)
-    rng_label = np.random.default_rng(s_label)
-    rng_z = np.random.default_rng(s_z)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng_arrival, rng_accept, rng_label, rng_z = map(np.random.default_rng,
+                                                    seed.spawn(4))
 
     n_cand = rng_arrival.poisson(lam_max * model.T)
     t_cand = np.sort(rng_arrival.uniform(0.0, model.T, size=n_cand))
@@ -179,6 +174,4 @@ def expected_count(model):
     """mu * integral of c(t) over [0, T]; exact when c is constant."""
     if model.sensitivity is None:
         return model.mu * model.T
-    integral, _ = integrate.quad(lambda t: float(model.c(t)), 0.0, model.T,
-                                 limit=200)
-    return model.mu * integral
+    return model.mu * float(_integral(model.c, 0.0, model.T))

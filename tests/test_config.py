@@ -116,8 +116,19 @@ def test_section_error_is_not_rewrapped(tmp_path, capsys):
     ("power", "template.m", {"template": {"kind": "z", "m": 2.5}}),
     ("simulate", "phase.f", {"phase.f": float("nan")}),
     ("scan", "scan", {"scan.fdot": [0, 1, 0]}),
+    ("power", "template.amps_sq", {"template.amps_sq": {"a": 1}}),
+    ("power", "template.amps_sq", {"template.amps_sq": [None]}),
+    ("power", "template.amps_sq", {"template.amps_sq": [float("nan")]}),
+    ("power", "template.amps_sq", {"template.amps_sq": [float("inf")]}),
+    ("power", "template.amps_sq", {"template.amps_sq": [True]}),
+    ("power", "profile.coeffs", {"profile.coeffs": [[float("nan"), 0]]}),
+    ("power", "profile.coeffs", {"profile.coeffs": [[0.5, float("-inf")]]}),
+    ("simulate", "profile.coeffs", {"profile.coeffs": [[float("inf"), 0]]}),
+    ("power", "profile.coeffs", {"profile.coeffs": [[True, 0]]}),
 ], ids=["weight-string", "cut-list", "phase-string", "phase-number",
-        "fdot-null", "fdot-string", "m-fraction", "f-nan", "fdot-no-steps"])
+        "fdot-null", "fdot-string", "m-fraction", "f-nan", "fdot-no-steps",
+        "amps-object", "amps-null", "amps-nan", "amps-inf", "amps-bool",
+        "coeffs-nan", "coeffs-minus-inf", "coeffs-inf-simulate", "coeffs-bool"])
 def test_malformed_input_names_its_field(tmp_path, capsys, command, field,
                                          context):
     code, out, err = _run(tmp_path, capsys, command, _doc(context))

@@ -11,8 +11,11 @@ from photonperiod import (
     predicted_snr,
     threshold_theta,
 )
+from photonperiod import power
 from photonperiod.auxmodel import DiskGeometry
+from photonperiod.detector import fourier_coefficients
 from photonperiod.power import fit_mismatch_kappa, mismatch_scan
+from photonperiod.simulator import expected_count, simulate
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
 DENS = GEOM.density_pair()
@@ -158,3 +161,66 @@ class TestMismatch:
         for n, d, factor, se in rows:
             assert n in (1, 2) and d in (0.0, 0.2)
             assert se >= 0.0
+            assert type(factor) is float and type(se) is float
+
+    def test_unknown_mode_and_regime_rejected_everywhere(self):
+        # checked before any simulation: no densities are needed
+        m = _model()
+        with pytest.raises(ValueError, match="unknown mode"):
+            fit_mismatch_kappa(m, None, 1, mode="nonsense", replicates=2)
+        with pytest.raises(ValueError, match="unknown mode"):
+            mismatch_scan(m, None, [1], [0.1], mode="nonsense", replicates=2)
+        with pytest.raises(ValueError, match="regime"):
+            mismatch_scan(m, None, [1], [0.1, 1.5], replicates=2)
+        with pytest.raises(ValueError, match="regime"):
+            fit_mismatch_kappa(m, None, 1, replicates=2, deltas=(0.1, -1.0))
+        with pytest.raises(ValueError, match="unknown mode"):
+            mismatch_factor(m, None, 1, 0.0, mode="nonsense")
+
+
+def _count_simulations(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(power, "simulate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, r: mismatch_factor(m, DENS, 2, 0.2, replicates=r, seed=5),
+    lambda m, r: mismatch_factor(m, DENS, 2, 0.2, via="quadratic-fit",
+                                 replicates=r, seed=5),
+    lambda m, r: fit_mismatch_kappa(m, DENS, 2, replicates=r, seed=5),
+    lambda m, r: mismatch_scan(m, DENS, [1, 2, 3], [0.0, 0.1, -0.2],
+                               mode="f-and-fdot", replicates=r, seed=5),
+], ids=["factor", "factor-quadratic-fit", "kappa", "scan"])
+def test_each_replicate_is_simulated_once(monkeypatch, run):
+    calls = _count_simulations(monkeypatch)
+    run(_model(T=50.0), 7)
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("mode", ["f-only", "f-and-fdot"])
+def test_excess_table_equals_one_pair_at_a_time(mode):
+    """Each (n, Delta) entry of the table is, bit for bit, the estimate from
+    simulating the replicates again for that pair alone."""
+    model, harmonics, deltas = _model(T=50.0), [1, 2, 3], [0.0, 0.15, -0.3]
+    replicates, seed = 6, 9
+    excess, stderr = power._excess(model, DENS, harmonics, deltas, mode,
+                                   replicates, seed, 0.0)
+    assert excess.shape == stderr.shape == (3, 3)
+    for i, n in enumerate(harmonics):
+        for j, d in enumerate(deltas):
+            fdot = d / model.T**2 if mode == "f-and-fdot" else 0.0
+            phase = PhaseModel(f=5.0 + d / model.T, fdot=0.0 + fdot)
+            powers = []
+            for child in np.random.SeedSequence(seed).spawn(replicates):
+                ev = simulate(model, DENS, seed=child)
+                an = fourier_coefficients(ev, np.ones(len(ev)), phase, n)
+                powers.append(np.abs(an[n - 1]) ** 2)
+            powers = np.array(powers)
+            assert excess[i, j] == np.mean(powers) - expected_count(model)
+            assert stderr[i, j] == np.std(powers, ddof=1) / np.sqrt(replicates)

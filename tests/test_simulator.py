@@ -42,6 +42,10 @@ class TestExpectedCount:
         m = make_model(10.0, 0.0, 100.0, sensitivity=sensitivity_window(25.0, 75.0))
         assert expected_count(m) == pytest.approx(500.0, rel=1e-6)
 
+    def test_window_edges_off_the_nodes(self):
+        m = make_model(10.0, 0.0, 100.0, sensitivity=sensitivity_window(13.7, 61.3))
+        assert expected_count(m) == pytest.approx(10.0 * (61.3 - 13.7), rel=1e-9)
+
     def test_mu0_time_average(self):
         m = make_model(10.0, 0.0, 20.0, sensitivity=sensitivity_ramp(0.5, 1.5, 20.0))
         assert m.mu0 == pytest.approx(10.0, rel=1e-8)
