@@ -148,6 +148,10 @@ def cmd_power(args):
     model = cfg.model()
     template = cfg.template()
     source = model.profile
+    if args.out and not np.any(source.amps_sq() > 0):
+        # checked before the SNR line is printed or the table opened
+        raise ConfigError("profile", "power --out needs a nonzero coefficient "
+                                     "for the template efficiency table")
     kind = cfg.weight_kind()
     if kind == "unit":
         eff_w = 1.0

@@ -62,8 +62,9 @@ class _Section:
         obj = self.get(key, None if optional else _REQUIRED)
         return None if optional and obj is None else _Section(obj, self.field(key))
 
-    def number(self, key, default=_REQUIRED):
-        """A float; a quantity object {"value": x, "unit": u} gives x."""
+    def number(self, key, default=_REQUIRED, infinite=False):
+        """A finite float, or also +-inf where infinite is set; a quantity
+        object {"value": x, "unit": u} gives x."""
         obj, field = self.get(key, default), self.field(key)
         if isinstance(obj, dict):
             if "value" not in obj:
@@ -71,7 +72,13 @@ class _Section:
             obj = obj["value"]
         if not isinstance(obj, (int, float)) or isinstance(obj, bool) or obj != obj:
             raise ConfigError(field, "expected a number, got %r" % (obj,))
-        return float(obj)
+        try:
+            value = float(obj)
+        except OverflowError:  # an integer beyond the double range
+            value = np.inf if obj > 0 else -np.inf
+        if not (infinite or np.isfinite(value)):
+            raise ConfigError(field, "expected a finite number, got %r" % (obj,))
+        return value
 
     def integer(self, key, default=_REQUIRED):
         value = self.number(key, default)
@@ -84,10 +91,7 @@ class _Section:
         raw, field = self.get(key), self.field(key)
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(field, "expected a list, got %r" % (raw,))
-        values = [_Section({key: x}, self.path).number(key) for x in raw]
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(field, "expected finite numbers, got %r" % (raw,))
-        return values
+        return [_Section({key: x}, self.path).number(key) for x in raw]
 
 
 class Config:
@@ -226,9 +230,10 @@ class Config:
             cut = sec.section("cut")
             with _as_config_error("weight.cut"):
                 return auxmodel.cut_weight_fn(
-                    e_lo=cut.number("e_lo", -np.inf),
-                    e_hi=cut.number("e_hi", np.inf),
-                    phi_max=cut.number("phi_max", np.inf))
+                    # an unset edge is infinite: so may a set one be
+                    e_lo=cut.number("e_lo", -np.inf, infinite=True),
+                    e_hi=cut.number("e_hi", np.inf, infinite=True),
+                    phi_max=cut.number("phi_max", np.inf, infinite=True))
         if kind == "psf-gaussian":
             return auxmodel.psf_gaussian_weight_fn(self.geometry())
         if kind in ("optimal", "optimal-no-spectrum"):

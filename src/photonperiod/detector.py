@@ -2,7 +2,10 @@
 
 The statistic Q_T = (1/T) sum_{n != 0} |alpha_n|^2 |A_n|^2 with
 A_n = sum_j w_j exp(2 pi i n phi(t_j)), one exponential per event and z^n by
-recurrence (lightcurve._harmonic_sums, with its rounding bound).  Under the
+recurrence (lightcurve._harmonic_sums), over fixed blocks of 2^16 events
+(fourier_coefficients, with its rounding bound).  A_n and sum_j w_j^2, a
+pairwise sum, are summed with the events in one canonical (t, w) order, so
+no permutation of the events changes a bit of either.  Under the
 null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
 chi-square(2) and the A_n are approximately independent, so Q_T T is a
 weighted sum of independent chi-square(2) variables with coefficients
@@ -58,20 +61,47 @@ class DetectionResult:
         )
 
 
-def _fsum(values):
-    # exact-rounding compensated sum; result is order-independent.  fsum reads
-    # the buffer through a memoryview: no list of Python floats is built
-    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float).ravel()))
+def _canonical(times, w):
+    """Times and weights sorted by time, ties by weight: the order in which
+    A_n and sum w^2 are summed, so that no permutation of the events changes
+    a bit of either."""
+    tw = np.empty(times.shape, dtype=complex)
+    tw.real, tw.imag = times, w
+    tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
+    return tw.real, tw.imag
+
+
+def _sum_w2(w):
+    """sum_j w_j^2 by numpy's pairwise sum of the rounded squares, within
+    (2 log2 N + 20) u sum_j w_j^2 of exact (u = 2^-53; Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4.2).  Its bits depend on the
+    order of w: pass it in _canonical's."""
+    return float(np.sum(np.square(w)))
+
+
+# Events per block of the A_n sum: block edges depend on N alone.
+_AN_BLOCK = 1 << 16
 
 
 def fourier_coefficients(events, weights, model, m):
-    """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times,
-    summed in (t, w) order, so that no permutation of the events changes a
-    bit, to within the rounding bound of lightcurve._harmonic_sums."""
-    times, w = _times_and_weights(events, weights)
-    tw = times + 1j * w
-    tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
-    return _harmonic_sums(tw.imag, _unit_phasors(phase_of(model, tw.real)), m)
+    """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times.
+
+    The events are summed in (t, w) order, so that no permutation of them
+    changes a bit, over fixed blocks of B = 2^16 events.  Each block's sum is
+    within (23 n + 2 log2 B + 20) u of its sum_j w_j (lightcurve.
+    _harmonic_sums), and adding the ceil(N / B) block sums in turn adds at
+    most (N / B + 1) u sum_j w_j, so A_n is within
+    (23 n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at the
+    rounded phases.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    times, w = _canonical(*_times_and_weights(events, weights))
+    an = np.zeros(m, dtype=complex)
+    for start in range(0, times.size, _AN_BLOCK):
+        block = slice(start, start + _AN_BLOCK)
+        an += _harmonic_sums(w[block], _unit_phasors(phase_of(model, times[block])), m)
+    return an
 
 
 def qt_statistic(an, template, T):
@@ -96,7 +126,9 @@ def score_at_tau(events, weights, model, profile, tau):
     if times.size == 0:
         return 0.0
     nu = eval_profile(profile, phase_of(model, times) + tau)
-    return _fsum(w * (np.atleast_1d(nu) - 1.0))
+    # exactly rounded; fsum reads the buffer through a memoryview: no list of
+    # Python floats is built
+    return math.fsum(memoryview(w * (np.atleast_1d(nu) - 1.0)))
 
 
 def estimate_theta(z_values, densities, tol=1e-8):
@@ -316,21 +348,24 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
         # one evaluation of both densities serves the MLE and the weights
         fs, fb = _densities_at(events, densities)
         theta_used = _theta_mle(fs, fb) if theta is None else float(theta)
-        weight_fn = _posterior(_weight_theta(theta_used), fs, fb)
-    elif theta is not None:
-        theta_used = float(theta)
-    elif densities is not None:
-        theta_used = estimate_theta(events, densities)
+        w = _posterior(_weight_theta(theta_used), fs, fb)
+        del fs, fb
     else:
-        theta_used = float("nan")
+        if theta is not None:
+            theta_used = float(theta)
+        elif densities is not None:
+            theta_used = estimate_theta(events, densities)
+        else:
+            theta_used = float("nan")
+        w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
 
-    w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
-    w = np.asarray(w, dtype=float)
-    sum_w2 = _fsum(w * w)
+    # sorted once: A_n's own sort then meets a single run
+    times, w = _canonical(*_times_and_weights(events, w))
+    sum_w2 = _sum_w2(w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")
 
-    an = fourier_coefficients(events, w, model, template.m)
+    an = fourier_coefficients(times, w, model, template.m)
     qt = qt_statistic(an, template, T)
     p = p_value(qt, sum_w2, template, T)
     return DetectionResult(

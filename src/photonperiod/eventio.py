@@ -3,14 +3,16 @@
 Times are printed with 17 significant digits so a write/read round trip is
 exact in double precision.
 
-`read_events` parses the rows after the header with `np.loadtxt`.  Where numpy
-rejects the rows, finds a column count other than the header's, or meets a
-character on which numpy and `float` disagree, the line-by-line parser reads
-the file again from the top; it alone reports errors, each naming its
-`path:lineno`.  The two accept exactly the same files and give bit-identical
-columns.
+`read_events` hands `np.loadtxt` the path, skipping the lines up to and
+including the header, after one search of the raw bytes for the characters on
+which numpy and `float` disagree.  Where numpy rejects the rows, finds a column
+count other than the header's, or such a character is found (or the path has
+a suffix numpy decompresses), the line-by-line parser reads the file again
+from the top; it alone reports errors, each naming its `path:lineno`.  The two
+accept exactly the same files and give bit-identical columns.
 """
 
+import os
 import warnings
 from functools import partial
 
@@ -23,7 +25,9 @@ __all__ = ["write_events", "read_events"]
 _COLUMNS = ("time", "energy", "angle")
 # ASCII information separators: np.loadtxt strips them from the ends of a
 # field as whitespace, float() rejects them.
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# np.loadtxt decompresses a path with one of these suffixes; open() does not.
+_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def write_events(path, events, weights=None, header_comment=None):
@@ -72,24 +76,28 @@ def _header(path, lineno, line):
 def _read_columns_fast(path):
     """Column name -> values by np.loadtxt, or None wherever the result
     could differ from _read_columns's (which then reports the error)."""
+    path = os.path.abspath(path)  # np.loadtxt would fetch a URL-like path
+    if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
+        return None
     try:
-        with open(path) as fh:
-            names = None
-            while names is None:
-                line = fh.readline()
-                if not line:
-                    return None
+        with open(path) as fh:  # text mode: the lines np.loadtxt counts
+            for skip, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    names = _header(path, 0, line)  # errors: see _read_columns
-            start = fh.tell()
-            for chunk in iter(partial(fh.read, 1 << 20), ""):
+                    names = _header(path, skip, line)  # errors: see _read_columns
+                    break
+            else:
+                return None
+        # the separators are ASCII bytes, which never occur inside a UTF-8
+        # multibyte sequence: search the raw bytes, header lines included
+        with open(path, "rb") as fh:
+            for chunk in iter(partial(fh.read, 1 << 20), b""):
                 if any(c in chunk for c in _NUMPY_ONLY_SPACE):
                     return None
-            fh.seek(start)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # numpy warns on no rows
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on no rows
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=skip)
     except (ValueError, Warning):
         return None
     if data.shape[1] != len(names):

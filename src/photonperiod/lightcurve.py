@@ -193,9 +193,13 @@ def _harmonic_sums(w, z, m):
 def eval_profile(profile, phase):
     """Evaluate the profile at a phase (cycles; reduced mod 1 internally).
 
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  nan wherever the phase is not finite.
     """
     phase = np.asarray(phase, dtype=float)
+    if profile.eta == 0 and np.all(np.isfinite(profile.coeffs)):
+        # a constant light curve: 1 + 0 * (a finite sum) is 1 exactly
+        out = np.where(np.isfinite(phase), 1.0, np.nan)
+        return out if out.ndim else float(out)
     n = np.arange(1, profile.m + 1)
     # 1 + eta * 2 Re(sum gamma_n e^{2 pi i n phase})
     phasors = np.exp(2j * np.pi * np.multiply.outer(phase, n))

@@ -11,13 +11,16 @@ the recurrence z^n (lightcurve._harmonic_sums).  Rotating adds at most 30 u
 (u = 2^-53) a step while step |t - epoch| <= 1, so at the k-th point of a row
 A_n is within ((23 + 30 k) n + 2 log2 N + 20) u sum_j w_j of the exact sum at
 the row's first phase plus k step (t - epoch).
+
+The events are summed in detect's canonical (t, w) order, and sum_j w_j^2 is
+detect's, so each point's p is detector.p_value at its Q_T, bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _fsum, qt_statistic, weighted_chi2_sf
+from .detector import _canonical, _sum_w2, qt_statistic, weighted_chi2_sf
 from .lightcurve import _harmonic_sums, _times_and_weights, _unit_phasors
 
 __all__ = ["ScanSpec", "ScanResult", "frequency_grid", "scan"]
@@ -90,8 +93,8 @@ def scan(events, weights, template, T, spec, epoch=0.0):
             "grid has %d points (max %d); narrow the range or reduce "
             "oversampling" % (total, spec.max_points)
         )
-    times, w = _times_and_weights(events, weights)
-    sum_w2 = _fsum(w * w)
+    times, w = _canonical(*_times_and_weights(events, weights))
+    sum_w2 = _sum_w2(w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")
 

@@ -297,6 +297,23 @@ class TestPowerCommand:
         assert pct[2] == pytest.approx(70.71, abs=0.01)
         assert pct[3] == pytest.approx(57.74, abs=0.01)
 
+    @pytest.mark.parametrize("profile", [None, {"coeffs": [[0.0, 0.0]]}])
+    def test_table_without_a_profile_fails_first(self, tmp_path, capsys,
+                                                 profile):
+        """--out needs the profile's spectrum: with none, power exits 2
+        naming profile, before it prints or opens anything."""
+        doc = base_config(profile=profile)
+        if profile is None:
+            del doc["profile"]
+        cfg = write_config(tmp_path, doc)
+        table = tmp_path / "eff.csv"
+        code, out, err = run(capsys, ["power", "--config", cfg, "--out",
+                                      str(table)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: config field 'profile': ")
+        assert not table.exists()
+
     def test_weighted_prediction_uses_efficiency(self, tmp_path, capsys):
         doc = base_config(weight={"kind": "optimal", "theta": 0.5})
         cfg = write_config(tmp_path, doc)

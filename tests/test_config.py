@@ -125,10 +125,23 @@ def test_section_error_is_not_rewrapped(tmp_path, capsys):
     ("power", "profile.coeffs", {"profile.coeffs": [[0.5, float("-inf")]]}),
     ("simulate", "profile.coeffs", {"profile.coeffs": [[float("inf"), 0]]}),
     ("power", "profile.coeffs", {"profile.coeffs": [[True, 0]]}),
+    ("power", "model.mu", {"model.mu": float("inf")}),
+    ("simulate", "model.T", {"model.T": float("inf")}),
+    ("simulate", "phase.fdot", {"phase.fdot": float("-inf")}),
+    ("simulate", "profile.eta", {"profile.eta": {"value": float("inf")}}),
+    ("power", "weight.theta",
+     {"weight": {"kind": "optimal", "theta": float("inf")}}),
+    ("scan", "scan.f_hi", {"scan.f_hi": float("inf")}),
+    ("scan", "scan.fdot.hi", {"scan.fdot": [0, float("inf"), 2]}),
+    ("power", "template.m", {"template": {"kind": "z", "m": float("inf")}}),
+    ("simulate", "model.mu", {"model.mu": 10**400}),
 ], ids=["weight-string", "cut-list", "phase-string", "phase-number",
         "fdot-null", "fdot-string", "m-fraction", "f-nan", "fdot-no-steps",
         "amps-object", "amps-null", "amps-nan", "amps-inf", "amps-bool",
-        "coeffs-nan", "coeffs-minus-inf", "coeffs-inf-simulate", "coeffs-bool"])
+        "coeffs-nan", "coeffs-minus-inf", "coeffs-inf-simulate", "coeffs-bool",
+        "mu-inf", "T-inf", "fdot-minus-inf", "eta-quantity-inf",
+        "weight-theta-inf", "f_hi-inf", "fdot-range-inf", "m-inf",
+        "mu-beyond-double"])
 def test_malformed_input_names_its_field(tmp_path, capsys, command, field,
                                          context):
     code, out, err = _run(tmp_path, capsys, command, _doc(context))
@@ -136,6 +149,17 @@ def test_malformed_input_names_its_field(tmp_path, capsys, command, field,
     assert out == ""
     assert re.match(r"config error: config field '%s(\.[a-z_]+)?': "
                     % re.escape(field), err), err
+
+
+@pytest.mark.parametrize("edges", [{"e_hi": float("inf")},
+                                   {"e_lo": float("-inf"), "e_hi": 5.0,
+                                    "phi_max": float("inf")}])
+def test_infinite_cut_edge_still_runs(tmp_path, capsys, edges):
+    """A cut edge's unset value is infinite, so an explicit one is too."""
+    code, out, err = _run(tmp_path, capsys, "power",
+                          _doc({}, weight={"kind": "cut", "cut": edges}))
+    assert code == 0, err
+    assert json.loads(out)["snr"] > 0
 
 
 @pytest.mark.parametrize("command", ["power", "calibrate"])

@@ -25,7 +25,7 @@ from photonperiod import (
     weighted_chi2_sf,
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
-from photonperiod.detector import P_FLOOR
+from photonperiod.detector import P_FLOOR, _canonical, _sum_w2
 from photonperiod.lightcurve import phase_of
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
@@ -73,30 +73,46 @@ class TestFourierCoefficients:
         a1 = fourier_coefficients(t, w, PhaseModel(f=3.0, epoch=17.3), 3)
         assert np.allclose(np.abs(a1), np.abs(a0), rtol=1e-9)
 
-    def test_rounding_bound_against_exact_sum(self):
-        """At 1e5 events and up to 1e6 cycles with fdot, each A_n is within
-        the kernel's stated (23 n + 2 log2 N + 20) u sum w of an exactly
-        rounded sum at the reduced phases."""
+    @staticmethod
+    def _errors_against_exact_sum(n_ev, m, seed):
+        """|A_n - exact| / (u sum w), n = 1..m, at n_ev events and up to 1e6
+        cycles with fdot, against an exactly rounded sum at the reduced
+        phases.  The oracle's terms are n r and 2 pi (n r mod 1) rounded,
+        then cos and sin to an ulp, so within (7 n + 15) u of exact."""
         u = 2.0**-53
-        rng = np.random.default_rng(11)
-        n_ev = 100_000
+        rng = np.random.default_rng(seed)
         t = rng.uniform(0.0, 1e5, n_ev)
         w = rng.uniform(0.0, 1.0, n_ev)
         model = PhaseModel(f=10.0, fdot=2e-9, epoch=-3.0)
         phase = phase_of(model, t)
         assert phase.min() >= 30.0 and phase.max() > 1e6
         r = phase - np.floor(phase)  # exact for positive phases
-        m = 4
         an = fourier_coefficients(t, w, model, m)
         sum_w = math.fsum(w.tolist())
+        errors = []
         for n in range(1, m + 1):
-            # the oracle's terms: n r and 2 pi (n r mod 1) rounded, then cos
-            # and sin to an ulp, so within (7 n + 15) u of exact
             ang = 2.0 * np.pi * ((n * r) % 1.0)
             exact = complex(math.fsum((w * np.cos(ang)).tolist()),
                             math.fsum((w * np.sin(ang)).tolist()))
-            bound = (23 * n + 2 * np.log2(n_ev) + 20 + 7 * n + 15) * u * sum_w
-            assert abs(an[n - 1] - exact) <= bound
+            errors.append(abs(an[n - 1] - exact) / (u * sum_w))
+        return errors
+
+    def test_rounding_bound_against_exact_sum(self):
+        """At 1e5 events each A_n is within the kernel's stated
+        (23 n + 2 log2 N + 20) u sum w of the exact sum."""
+        n_ev = 100_000
+        errors = self._errors_against_exact_sum(n_ev, 4, seed=11)
+        for n, err in enumerate(errors, start=1):
+            assert err <= 23 * n + 2 * np.log2(n_ev) + 20 + 7 * n + 15
+
+    def test_blocked_rounding_bound_across_blocks(self):
+        """At 3 blocks of 2^16 events and 5 more, each A_n is within the
+        blocked bound (23 n + 2 log2 2^16 + 21 + N / 2^16) u sum w of the
+        exact sum."""
+        n_ev = 3 * 2**16 + 5
+        errors = self._errors_against_exact_sum(n_ev, 4, seed=12)
+        for n, err in enumerate(errors, start=1):
+            assert err <= 23 * n + 2 * 16 + 21 + n_ev / 2**16 + 7 * n + 15
 
     def test_empty_events(self):
         an = fourier_coefficients(np.array([]), np.array([]), F0, 2)
@@ -527,9 +543,9 @@ class TestDetect:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_detect_invariant_under_event_permutation(data):
-    """With theta given, detect sums A_n in a canonical (t, w) order and
-    sum w^2 exactly rounded (math.fsum), so a permutation of events and
-    weights leaves every output bit-identical."""
+    """With theta given, detect sums A_n and sum w^2 in one canonical
+    (t, w) order, so a permutation of events and weights leaves every
+    output bit-identical.  At most 60 events: one block of the A_n sum."""
     rows = data.draw(st.lists(
         st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 1.0)),
         min_size=1, max_size=60))
@@ -543,3 +559,38 @@ def test_detect_invariant_under_event_permutation(data):
     a, b = runs
     assert (a.qt, a.sum_w2, a.p_value) == (b.qt, b.sum_w2, b.p_value)
     assert a.an_sq.tolist() == b.an_sq.tolist()
+
+
+def test_detect_invariant_under_permutation_across_blocks():
+    """2^17 + 3 events, three blocks of the A_n sum, with tied times of
+    distinct weights: every output of detect is bit-identical under a
+    permutation of the events."""
+    rng = np.random.default_rng(24)
+    n = 2**17 + 3
+    t = np.round(rng.uniform(0.0, 1e3, n), 2)  # about 1e5 distinct times
+    w = rng.uniform(0.01, 1.0, n)
+    perm = rng.permutation(n)
+    assert np.unique(t).size < n
+    # on these weights a pairwise sum in input order would differ
+    assert _sum_w2(w) != _sum_w2(w[perm])
+    zeros = np.zeros(n)
+    tpl = HarmonicTemplate([1.0, 0.5, 0.25])
+    runs = [detect(EventList(t=t[order], energy=zeros, angle=zeros), w[order],
+                   PhaseModel(f=1.3), tpl, theta=0.2, T=1e3)
+            for order in (np.arange(n), perm)]
+    a, b = runs
+    assert (a.qt, a.sum_w2, a.p_value) == (b.qt, b.sum_w2, b.p_value)
+    assert a.an_sq.tolist() == b.an_sq.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 1000, 10**6])
+def test_sum_w2_within_its_bound_of_fsum(n):
+    """sum w^2 is within (2 log2 N + 20) u sum w^2 of math.fsum's exactly
+    rounded sum of the same squares, in canonical and in random order."""
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, n) ** 8  # squares spread over 16 decades
+    t = rng.uniform(0.0, 100.0, n)
+    exact = math.fsum(w * w)
+    bound = (2 * math.log2(n) + 20) * 2.0**-53 * exact
+    for got in (_sum_w2(_canonical(t, w)[1]), _sum_w2(w)):
+        assert abs(got - exact) <= bound

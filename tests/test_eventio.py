@@ -142,6 +142,16 @@ CORPUS = [
     ("spaces in fields", HEAD + " 1.0 , 2.0 ,3.0 \n", True),
     ("crlf", "# c\r\ntime,energy,angle\r\n1.0,2.0,3.0\r\n2.0,2.0,3.0\r\n", True),
     ("lone cr", "time,energy,angle\r1.0,2.0,3.0\r2.0,2.0,3.0\r", True),
+    # np.loadtxt skips the lines up to and including the header
+    ("comments and blanks before header",
+     "# a\n\n  \t\n# b,c\n" + HEAD + "1.0,2.0,3.0\n", True),
+    ("crlf comments before header",
+     "# a\r\n\r\n# b\r\ntime,energy,angle\r\n1.0,2.0,3.0\r\n", True),
+    ("lone cr comments before header",
+     "# a\r\r# b\rtime,energy,angle\r1.0,2.0,3.0\r2.0,2.0,3.0\r", True),
+    ("mixed line ends before header",
+     "# a\r\n\r# b\n" + HEAD + "1.0,2.0,3.0\r\n2.0,2.0,3.0\r", True),
+    ("separator in a comment", "# a\x1c\n" + HEAD + "1.0,2.0,3.0\n", False),
     ("underscore digits", HEAD + "1_0,2.0,3.0\n", None),
     ("arabic-indic digit", HEAD + "\u0661,2.0,3.0\n", None),
     ("fullwidth digit", HEAD + "\uff11,2.0,3.0\n", None),
@@ -197,6 +207,17 @@ class TestSameAsLineParser:
         got = _outcome(path)
         monkeypatch.setattr(eventio, "_read_columns_fast", lambda path: None)
         assert got == _outcome(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch,
+                                            suffix):
+        """np.loadtxt would decompress such a path; the line parser reads
+        the plain text it holds."""
+        path = tmp_path / ("ev.csv" + suffix)
+        path.write_text(HEAD + "3.0,2.0,0.5\n1.0,1.0,0.25\n")
+        assert eventio._read_columns_fast(path) is None
+        ev, _ = read_events(path)
+        assert ev.t.tolist() == [1.0, 3.0]
 
     def test_round_trip_of_random_doubles(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)

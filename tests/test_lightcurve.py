@@ -26,6 +26,23 @@ class TestEvalProfile:
         prof = LightCurveProfile(np.array([0.3 + 0.1j]), eta=0.0)
         assert eval_profile(prof, 0.37) == pytest.approx(1.0)
 
+    def test_constant_profile_equals_the_general_path(self):
+        """eta = 0 skips the phasors and gives the general path's value,
+        1 + 2 eta Re(sum_n gamma_n e^{2 pi i n phase}), exactly: 1 at every
+        finite phase and nan at a nan or infinite one."""
+        prof = LightCurveProfile(np.array([0.3 + 0.1j, -0.2j]), eta=0.0)
+        phase = np.array([0.0, 0.37, -12.5, 3e8, np.nan, np.inf, -np.inf])
+        n = np.arange(1, prof.m + 1)
+        with np.errstate(invalid="ignore"):
+            general = 1.0 + 2.0 * prof.eta * np.real(
+                np.exp(2j * np.pi * np.multiply.outer(phase, n)) @ prof.coeffs)
+        got = eval_profile(prof, phase)
+        assert got[:4].tolist() == general[:4].tolist() == [1.0] * 4
+        assert np.isnan(got[4:]).all() and np.isnan(general[4:]).all()
+        assert eval_profile(prof, 0.37) == 1.0
+        assert np.isnan(eval_profile(prof, np.nan))
+        assert eval_profile(prof, phase.reshape(7, 1)).shape == (7, 1)
+
     def test_cosine_peak(self):
         assert eval_profile(single_harmonic(), 0.0) == pytest.approx(2.0)
 

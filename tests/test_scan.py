@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +17,7 @@ from photonperiod import (
     simulate,
 )
 from photonperiod.auxmodel import DiskGeometry
-from photonperiod.detector import _fsum
+from photonperiod.detector import _canonical, _sum_w2
 from photonperiod.lightcurve import phase_of
 from photonperiod.scan import ScanResult, frequency_grid
 
@@ -150,13 +152,15 @@ class TestScan:
         assert np.all(np.diff(res.p[rising]) < 0)
 
     def test_p_equals_p_value_at_each_point(self):
-        """scan sums w^2 exactly rounded, as detect does, so every grid
-        point's p is p_value at its Q_T, bit for bit."""
+        """scan sums w^2 as detect does, pairwise in (t, w) order, so every
+        grid point's p is p_value at its Q_T and detect's sum w^2, bit for
+        bit."""
         rng = np.random.default_rng(6)
         t = rng.uniform(0.0, 100.0, 9845)
         w = rng.uniform(0.0, 1.0, 9845)
-        sum_w2 = _fsum(w * w)
-        assert sum_w2 != np.sum(w * w)  # a plain sum would round differently
+        sum_w2 = _sum_w2(_canonical(t, w)[1])
+        # an exactly rounded sum would round differently
+        assert sum_w2 != math.fsum(w * w)
         tpl = HarmonicTemplate([1.0, 0.4, 0.1])
         res = scan(t, w, tpl, 100.0, ScanSpec(f_lo=1.0, f_hi=1.1,
                                              oversample=2.0))
