@@ -3,10 +3,11 @@
 The statistic Q_T = (1/T) sum_{n != 0} |alpha_n|^2 |A_n|^2 with
 A_n = sum_j w_j exp(2 pi i n phi(t_j)), one exponential per event and z^n by
 recurrence (lightcurve._harmonic_sums), over fixed blocks of 2^16 events
-(fourier_coefficients, with its rounding bound).  A_n and sum_j w_j^2, a
-pairwise sum, are summed with the events in one canonical (t, w) order, so
-no permutation of the events changes a bit of either.  Under the
-null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
+(fourier_coefficients, with its rounding bound) summed on every CPU the
+process may use, with bits that do not depend on how many.  A_n and
+sum_j w_j^2, a pairwise sum, are summed with the events in one canonical
+(t, w) order, so no permutation of the events changes a bit of either.  Under
+the null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
 chi-square(2) and the A_n are approximately independent, so Q_T T is a
 weighted sum of independent chi-square(2) variables with coefficients
 |alpha_n|^2 sum_w2; p-values are its exact survival function
@@ -18,7 +19,10 @@ accurate to 1e-10 relative down to P_FLOOR (~2.2e-308), below which they are
 
 import json
 import math
+import os
+import queue
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +68,13 @@ class DetectionResult:
 def _canonical(times, w):
     """Times and weights sorted by time, ties by weight: the order in which
     A_n and sum w^2 are summed, so that no permutation of the events changes
-    a bit of either."""
+    a bit of either.  Input already in that order is returned as it is."""
+    dt = np.diff(times)
+    if np.all(dt >= 0):  # false on a nan
+        tie = np.flatnonzero(dt == 0)
+        if np.all(w[tie + 1] >= w[tie]):
+            return times, w
+    del dt
     tw = np.empty(times.shape, dtype=complex)
     tw.real, tw.imag = times, w
     tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
@@ -83,36 +93,87 @@ def _sum_w2(w):
 _AN_BLOCK = 1 << 16
 
 
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(fn, n, rows=1):
+    """[fn(row, block) for row in range(rows) for block in the fixed
+    _AN_BLOCK slices of n events], in that order.
+
+    The tasks run on min(tasks, _cpus()) threads, each taking the next task
+    left, and overlap where numpy releases the GIL (array arithmetic, exp,
+    sums); with one task or one CPU they run inline.  Each result depends
+    only on its (row, block), so the list is bit-identical for any worker
+    count.  The calling thread is one of the workers, so one malloc arena
+    fewer keeps block temporaries, and the pool is joined within the call:
+    no thread outlives it (calibrate forks worker processes).
+    """
+    tasks = [(row, slice(start, start + _AN_BLOCK)) for row in range(rows)
+             for start in range(0, n, _AN_BLOCK)]
+    workers = min(len(tasks), _cpus())
+    if workers <= 1:
+        return [fn(row, block) for row, block in tasks]
+    results = [None] * len(tasks)
+    todo = queue.SimpleQueue()
+    for i in range(len(tasks)):
+        todo.put(i)
+
+    def work():
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = fn(*tasks[i])
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def fourier_coefficients(events, weights, model, m):
     """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times.
 
     The events are summed in (t, w) order, so that no permutation of them
-    changes a bit, over fixed blocks of B = 2^16 events.  Each block's sum is
-    within (23 n + 2 log2 B + 20) u of its sum_j w_j (lightcurve.
-    _harmonic_sums), and adding the ceil(N / B) block sums in turn adds at
-    most (N / B + 1) u sum_j w_j, so A_n is within
+    changes a bit, over fixed blocks of B = 2^16 events (_map_blocks).  Each
+    block's sum is within (23 n + 2 log2 B + 20) u of its sum_j w_j
+    (lightcurve._harmonic_sums), and adding the ceil(N / B) block sums in
+    turn adds at most (N / B + 1) u sum_j w_j, so A_n is within
     (23 n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at the
     rounded phases.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     times, w = _canonical(*_times_and_weights(events, weights))
+
+    def block_sums(_, block):
+        phasors = _unit_phasors(phase_of(model, times[block]))
+        return _harmonic_sums(w[block], phasors, m)
+
     an = np.zeros(m, dtype=complex)
-    for start in range(0, times.size, _AN_BLOCK):
-        block = slice(start, start + _AN_BLOCK)
-        an += _harmonic_sums(w[block], _unit_phasors(phase_of(model, times[block])), m)
+    for sums in _map_blocks(block_sums, times.size):
+        an += sums
     return an
 
 
 def qt_statistic(an, template, T):
     """(2/T) sum_{n=1..m} |alpha_n|^2 |A_n|^2 (factor 2 for the n < 0 twins),
-    A_n along the last axis of an: a 2-D an gives one Q_T a row."""
+    A_n along the last axis of an: a 2-D an gives one Q_T a row, each with
+    the bits of that row's own Q_T (one dot product a row)."""
     if T <= 0:
         raise ValueError("T must be positive")
     an = np.asarray(an)
     if template.m > an.shape[-1]:
         raise ValueError("template has more harmonics than supplied A_n")
-    qt = 2.0 / T * (np.abs(an[..., : template.m]) ** 2 @ template.amps_sq)
+    qt = 2.0 / T * np.vecdot(np.abs(an[..., : template.m]) ** 2,
+                             template.amps_sq)
     return qt if qt.ndim else float(qt)
 
 
@@ -359,7 +420,7 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
             theta_used = float("nan")
         w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
 
-    # sorted once: A_n's own sort then meets a single run
+    # sorted once: fourier_coefficients finds them in order
     times, w = _canonical(*_times_and_weights(events, w))
     sum_w2 = _sum_w2(w)
     if sum_w2 <= 0:

@@ -45,19 +45,22 @@ def write_events(path, events, weights=None, header_comment=None):
 
 
 def read_events(path):
-    """Parse an event CSV.  Returns (EventList, weights-or-None)."""
+    """Parse an event CSV.  Returns (EventList, weights-or-None), rows in
+    stable time order, every column contiguous."""
     columns = _read_columns_fast(path)
     if columns is None:
         columns = _read_columns(path)
     _check_values(path, columns)
-    order = np.argsort(columns["time"], kind="stable")
-    ev = EventList(
-        t=columns["time"][order],
-        energy=columns["energy"][order],
-        angle=columns["angle"][order],
-    )
-    w = columns["weight"][order] if "weight" in columns else None
-    return ev, w
+    if np.all(np.diff(columns["time"]) >= 0):  # already sorted: no gathers
+        for name, values in columns.items():
+            columns[name] = np.ascontiguousarray(values)
+    else:
+        order = np.argsort(columns["time"], kind="stable")
+        for name, values in columns.items():
+            columns[name] = values[order]
+    ev = EventList(t=columns["time"], energy=columns["energy"],
+                   angle=columns["angle"])
+    return ev, columns.get("weight")
 
 
 def _header(path, lineno, line):

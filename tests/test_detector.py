@@ -1,4 +1,7 @@
+import collections
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -25,7 +28,8 @@ from photonperiod import (
     weighted_chi2_sf,
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
-from photonperiod.detector import P_FLOOR, _canonical, _sum_w2
+from photonperiod import detector
+from photonperiod.detector import P_FLOOR, _canonical, _map_blocks, _sum_w2
 from photonperiod.lightcurve import phase_of
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
@@ -594,3 +598,92 @@ def test_sum_w2_within_its_bound_of_fsum(n):
     bound = (2 * math.log2(n) + 20) * 2.0**-53 * exact
     for got in (_sum_w2(_canonical(t, w)[1]), _sum_w2(w)):
         assert abs(got - exact) <= bound
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_fourier_coefficients_independent_of_worker_count(monkeypatch,
+                                                          workers):
+    """At 3 blocks of 2^16 events and 5 more, A_n is bit-identical on the
+    default workers (every CPU) and on `workers`, and no thread outlives a
+    call."""
+    rng = np.random.default_rng(31)
+    n = 3 * 2**16 + 5
+    t = rng.uniform(0.0, 1e3, n)
+    w = rng.uniform(0.0, 1.0, n)
+    model = PhaseModel(f=2.3, fdot=1e-6, epoch=4.0)
+    threads = threading.active_count()
+    default = fourier_coefficients(t, w, model, 5)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(detector, "_cpus", lambda: workers)
+    assert fourier_coefficients(t, w, model, 5).tolist() == default.tolist()
+    assert threading.active_count() == threads
+
+
+def test_map_blocks_order_and_threads(monkeypatch):
+    """Results come back row by row, blocks in order.  On two CPUs the
+    calling thread and one pool thread share the tasks, and the pool is gone
+    afterwards; one task, or one CPU, runs on the calling thread alone."""
+    monkeypatch.setattr(detector, "_cpus", lambda: 2)
+    n = 2 * 2**16 + 1
+    both = threading.Barrier(2, timeout=30)
+
+    def where(row, block):
+        if row == 0 and block.start < 2**17:  # the first two tasks meet
+            both.wait()
+        return row, block.start, threading.current_thread()
+
+    threads = threading.active_count()
+    many = _map_blocks(where, n, rows=2)
+    assert [r[:2] for r in many] == [(row, start) for row in range(2)
+                                    for start in (0, 2**16, 2**17)]
+    ran_on = {r[2] for r in many}
+    assert len(ran_on) == 2 and threading.current_thread() in ran_on
+    assert threading.active_count() == threads
+
+    def caller(row, block):
+        return threading.current_thread()
+
+    assert _map_blocks(caller, 100) == [threading.current_thread()]
+    monkeypatch.setattr(detector, "_cpus", lambda: 1)
+    assert set(_map_blocks(caller, n, rows=2)) == {threading.current_thread()}
+
+
+def test_map_blocks_runs_each_task_once_under_contention(monkeypatch):
+    """More workers than CPUs and a 1 us switch interval: every task runs
+    once, and its result lands in its own place."""
+    monkeypatch.setattr(detector, "_cpus", lambda: 8)
+    calls = collections.Counter()
+    lock = threading.Lock()
+
+    def fn(row, block):
+        with lock:
+            calls[row, block.start] += 1
+        return row, block.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _map_blocks(fn, 40 * 2**16, rows=5)
+    finally:
+        sys.setswitchinterval(interval)
+    want = [(row, start) for row in range(5)
+            for start in range(0, 40 * 2**16, 2**16)]
+    assert got == want
+    assert calls == collections.Counter(want)
+
+
+def test_canonical_skips_the_sort_only_for_ordered_input():
+    """Input already in (t, w) order is returned as it is; a tie out of
+    weight order, a time out of order or a nan time is sorted."""
+    t = np.array([0.5, 1.0, 1.0, 2.0])
+    w = np.array([0.3, 0.1, 0.2, 0.4])
+    got = _canonical(t, w)
+    assert got[0] is t and got[1] is w
+    for bad_t, bad_w in ((t, w[[0, 2, 1, 3]]), (t[[1, 0, 2, 3]], w),
+                         (np.array([0.5, np.nan, 1.0, 2.0]), w)):
+        st, sw = _canonical(bad_t, bad_w)
+        assert st is not bad_t
+        tw = bad_t + 1j * bad_w
+        want = np.sort(tw, kind="stable")
+        assert np.array_equal(st, want.real, equal_nan=True)
+        assert np.array_equal(sw, want.imag)

@@ -57,6 +57,24 @@ class TestRoundTrip:
         assert np.array_equal(ev.t, [1.0, 3.0, 5.0])
         assert np.array_equal(ev.energy, [2.0, 3.0, 1.0])
 
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    def test_columns_are_the_stable_sort_and_contiguous(self, tmp_path, order):
+        """Sorted or not, with tied times, every column is the file's
+        gathered through a stable argsort of the times, and contiguous."""
+        rng = np.random.default_rng(5)
+        t = np.round(rng.uniform(0.0, 10.0, 200), 1)
+        if order == "sorted":
+            t = np.sort(t)
+        cols = [t, rng.uniform(0.1, 10, 200), rng.uniform(0, 5, 200),
+                rng.uniform(0, 1, 200)]
+        path = tmp_path / "ev.csv"
+        write_events(path, EventList(*cols[:3]), weights=cols[3])
+        ev, w = read_events(path)
+        stable = np.argsort(t, kind="stable")
+        for got, want in zip((ev.t, ev.energy, ev.angle, w), cols):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want[stable])
+
 
 class TestErrors:
     def test_bad_header_names_line(self, tmp_path):

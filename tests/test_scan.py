@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from photonperiod import (
     scan,
     simulate,
 )
+from photonperiod import detector
 from photonperiod.auxmodel import DiskGeometry
 from photonperiod.detector import _canonical, _sum_w2
 from photonperiod.lightcurve import phase_of
@@ -187,6 +189,50 @@ class TestScan:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             scan(t, w, HarmonicTemplate([1.0]), 100.0,
                  ScanSpec(f_lo=1.0, f_hi=1.02))
+
+
+class TestBlocks:
+    """3 blocks of 2^16 events and 5 more, on 3 fdot rows."""
+
+    T, EPOCH = 1e3, 311.0
+    TPL = HarmonicTemplate([1.0, 0.4, 0.1])
+    SPEC = ScanSpec(f_lo=2.0, f_hi=2.0011, fdot=(-1e-6, 1e-6, 3),
+                    oversample=1.0)
+
+    def _events(self):
+        rng = np.random.default_rng(41)
+        n = 3 * 2**16 + 5
+        return rng.uniform(0.0, self.T, n), rng.uniform(0.0, 1.0, n)
+
+    def _scan(self, t, w):
+        return scan(t, w, self.TPL, self.T, self.SPEC, epoch=self.EPOCH)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_independent_of_worker_count(self, monkeypatch, workers):
+        """Q_T and p are bit-identical on the default workers (every CPU) and
+        on `workers`, and no thread outlives a call."""
+        t, w = self._events()
+        threads = threading.active_count()
+        default = self._scan(t, w)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(detector, "_cpus", lambda: workers)
+        res = self._scan(t, w)
+        assert threading.active_count() == threads
+        assert res.qt.tolist() == default.qt.tolist()
+        assert res.p.tolist() == default.p.tolist()
+
+    def test_first_point_of_each_row_is_detects(self):
+        """Each fdot row's first point sums detect's blocks in detect's
+        order: its Q_T is qt_statistic of fourier_coefficients, bit for
+        bit."""
+        t, w = self._events()
+        res = self._scan(t, w)
+        n_f = frequency_grid(self.SPEC, self.T, self.TPL.m).size
+        assert res.trials == 3 * n_f and n_f > 1
+        for i, fdot in enumerate(self.SPEC.fdot_values()):
+            model = PhaseModel(f=self.SPEC.f_lo, fdot=fdot, epoch=self.EPOCH)
+            an = fourier_coefficients(t, w, model, self.TPL.m)
+            assert res.qt[i * n_f] == qt_statistic(an, self.TPL, self.T)
 
 
 class TestNullScanCalibration:
