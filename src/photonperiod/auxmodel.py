@@ -13,7 +13,6 @@ over all of its new energy nodes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "FlatSpectrum",
@@ -481,6 +480,8 @@ def psf_gaussian_weight(e, phi, geom, spectra=None):
         if np.any(fs <= 0):
             raise ValueError("source spectrum must be positive on support")
         log_bg = log_bg + np.log(fb) - np.log(fs)
+    # imported here: importing the package loads no scipy
+    from scipy.special import expit
     out = expit(-log_bg)
     return out if out.ndim else float(out)
 
@@ -556,11 +557,22 @@ def _expectations(g, densities):
         grid_e, grid_phi = np.broadcast_arrays(e[None, :], phi[:, None])
         dens = np.stack([pdf(grid_e, grid_phi) for pdf in pdfs])
         live = np.any(dens != 0, axis=0)
-        vals = np.array(g(grid_e[live], grid_phi[live]), dtype=float)
+        every = live.all()
+        if every:  # no gathers: g takes the whole grid
+            dens = dens.reshape(2, -1)
+            vals = g(grid_e.ravel(), grid_phi.ravel())
+        else:
+            dens = dens[:, live]
+            vals = g(grid_e[live], grid_phi[live])
+        vals = np.array(vals, dtype=float)
         if not np.isfinite(vals).all():
             raise ValueError("weight is not finite inside the density support")
-        out = np.zeros(live.shape + (2, len(vals)))
-        out[live] = np.einsum("cn,kn->nck", dens[:, live], vals)
+        # (nodes, 2, k): each entry one product
+        prod = dens.T[:, :, None] * vals.T[:, None, :]
+        if every:
+            return prod.reshape(live.shape + prod.shape[1:])
+        out = np.zeros(live.shape + prod.shape[1:])
+        out[live] = prod
         return out
 
     return _integral(lambda e: _integral(lambda phi: integrand(phi, e), 0.0, r_max),

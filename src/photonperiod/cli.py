@@ -12,7 +12,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.stats import chi2, kstest
 
 from . import auxmodel, detector, eventio, lightcurve, power, simulator
 from .config import Config, ConfigError, load_config
@@ -195,6 +194,8 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
 
 
 def cmd_calibrate(args):
+    # imported here: no other subcommand loads scipy
+    from scipy.stats import chi2, kstest
     cfg = load_config(args.config)
     n = args.replicates
     threads = max(1, args.threads)

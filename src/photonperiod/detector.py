@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .auxmodel import _posterior, _weight_theta
 from .lightcurve import (_harmonic_sums, _times_and_weights, _unit_phasors,
@@ -68,12 +67,19 @@ class DetectionResult:
 def _canonical(times, w):
     """Times and weights sorted by time, ties by weight: the order in which
     A_n and sum w^2 are summed, so that no permutation of the events changes
-    a bit of either.  Input already in that order is returned as it is."""
+    a bit of either.  Input already in that order is returned as it is;
+    input in time order gets new arrays with only its tied runs reordered."""
     dt = np.diff(times)
     if np.all(dt >= 0):  # false on a nan
         tie = np.flatnonzero(dt == 0)
         if np.all(w[tie + 1] >= w[tie]):
             return times, w
+        # equal times are adjacent: order the events of tied runs by
+        # (t, w), stably, as the full sort would, and leave the rest
+        runs = np.union1d(tie, tie + 1)
+        w = w.copy()
+        w[runs] = w[runs[np.lexsort((w[runs], times[runs]))]]
+        return times.copy(), w
     del dt
     tw = np.empty(times.shape, dtype=complex)
     tw.real, tw.imag = times, w
@@ -356,6 +362,8 @@ def weighted_chi2_sf(q, lam):
     if np.isnan(q).any():
         raise ValueError("statistic is nan")
     if np.all(lam == lam[0]):
+        # imported here: importing the package loads no scipy
+        from scipy.stats import chi2
         p = chi2.sf(q / lam[0], df=2 * lam.size)
     else:
         p = np.where(q > 0, 0.0, 1.0)

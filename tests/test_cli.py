@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonperiod
 from photonperiod import detect, estimate_theta, read_events, scan, write_events
 from photonperiod.auxmodel import (custom_weight, optimal_no_spectrum_fn,
                                    optimal_weight_fn)
@@ -378,3 +382,72 @@ class TestCalibrateCommand:
         assert code1 == code2 == 0
         assert json.loads(out1)["qt_mean"] == pytest.approx(
             json.loads(out2)["qt_mean"], rel=1e-12)
+
+
+# Run in a fresh interpreter: the test modules import scipy themselves.  It
+# takes JSON [[argv, ...], [argv, ...]]: the first commands must load no
+# scipy module, the second ones may.  It prints one JSON line.
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+import photonperiod
+from photonperiod.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+lean, later = json.loads(sys.argv[1])
+first = [run(argv) for argv in lean]
+scipy = sorted(k for k in sys.modules
+               if k == "scipy" or k.startswith("scipy."))
+print(json.dumps({"first": first, "scipy": scipy,
+                  "later": [run(argv) for argv in later]}))
+"""
+
+
+def test_scipy_loaded_only_where_called(tmp_path):
+    """Importing the package and running simulate, detect (optimal weights,
+    theta by MLE, a non-flat template), scan and power with a cut weight
+    loads no scipy module.  A flat template's detect and a power with the
+    PSF weight, which do use scipy, give the values they gave before."""
+    lean = base_config(weight={"kind": "optimal"},
+                       template={"amps_sq": [1.0, 0.25]},
+                       scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+    cut = base_config(weight={"kind": "cut", "cut": {"phi_max": 1.5}})
+    flat = base_config(weight={"kind": "optimal"},
+                       template={"kind": "z", "m": 2})
+    del flat["profile"]  # the null: a p-value in the body of the tail
+    psf = base_config(weight={"kind": "psf-gaussian"})
+    cfg, cut, flat, psf = (write_config(tmp_path, doc, name)
+                           for doc, name in ((lean, "lean.json"),
+                                             (cut, "cut.json"),
+                                             (flat, "flat.json"),
+                                             (psf, "psf.json")))
+    events, null = str(tmp_path / "events.csv"), str(tmp_path / "null.csv")
+    steps = [[["simulate", "--config", cfg, "--out", events, "--seed", "4"],
+              ["simulate", "--config", flat, "--out", null, "--seed", "4"],
+              ["detect", "--config", cfg, "--events", events],
+              ["scan", "--config", cfg, "--events", events],
+              ["power", "--config", cut]],
+             [["detect", "--config", flat, "--events", null],
+              ["power", "--config", psf]]]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(photonperiod.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS,
+                           json.dumps(steps)], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for code, _ in got["first"] + got["later"]] == [0] * 7
+    assert got["scipy"] == []
+    detect_flat, power_psf = (json.loads(out) for _, out in got["later"])
+    assert detect_flat["n_events"] == 10155
+    assert detect_flat["qt"] == pytest.approx(284.03976090691884, rel=1e-12)
+    assert detect_flat["p_value"] == pytest.approx(0.13518986964855872,
+                                                   rel=1e-12)
+    assert power_psf["efficiency_w"] == pytest.approx(1.4580509666186814,
+                                                      rel=1e-12)
+    assert power_psf["snr"] == pytest.approx(911.2818541366759, rel=1e-12)

@@ -687,3 +687,23 @@ def test_canonical_skips_the_sort_only_for_ordered_input():
         want = np.sort(tw, kind="stable")
         assert np.array_equal(st, want.real, equal_nan=True)
         assert np.array_equal(sw, want.imag)
+
+
+def test_canonical_orders_only_tied_runs_as_the_full_sort():
+    """Times in order with about a thousand tied runs, most with weights out
+    of order, some with equal weights and signed zeros: the same bits as the
+    full (t, w) sort, and the input arrays are left as they were."""
+    rng = np.random.default_rng(12)
+    t = np.sort(np.round(rng.uniform(0.0, 100.0, 5000), 1))  # ~4,000 ties
+    w = np.round(rng.uniform(0.0, 1.0, t.size), 1)  # equal weights in ties
+    w[rng.choice(t.size, 200, replace=False)] = -0.0
+    tied = np.diff(t) == 0
+    assert np.any(w[1:][tied] < w[:-1][tied])
+    before = t.tobytes(), w.tobytes()
+    st, sw = _canonical(t, w)
+    want = np.empty(t.size, dtype=complex)
+    want.real, want.imag = t, w  # t + 1j * w would drop the zeros' signs
+    want.sort(kind="stable")
+    assert st.tobytes() == want.real.tobytes()
+    assert sw.tobytes() == want.imag.tobytes()
+    assert (t.tobytes(), w.tobytes()) == before
