@@ -6,8 +6,12 @@ energy marginal times an angle conditional; weight functions map z to a
 weight, the principled choice being the posterior source probability.
 Weight moments and efficiencies are nested adaptive Gauss-Kronrod integrals
 over energy and angle, to 1e-9 relative: each pass of the energy integral
-bisects all its unresolved intervals at once and takes one angle integral
-over all of its new energy nodes.
+splits all its unresolved intervals at once and takes one angle integral
+over all of its new energy nodes.  An interval is split around its largest
+step between neighbouring nodes, at the midpoints of the node gaps on either
+side of it (never at a node next to it, where a cut edge could hide in the
+child's end gap), so a cut edge is found in a few passes, not one bisection
+per bit.
 """
 
 from dataclasses import dataclass
@@ -75,20 +79,50 @@ _GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]])
                         for w in (_K_WEIGHTS, _G_WEIGHTS)], axis=1)
 
 
+def _cut_table():
+    """Where _integral splits an interval, in its own coordinates on [-1, 1],
+    by the index j of the interval's largest step, between nodes j and j + 1.
+
+    The cuts are the midpoints of the node gaps before node j and after node
+    j + 1 (the gaps to -1 and 1 count), and 0 unless 0 lies between them, as
+    a node next to the step.  Row j of the first table holds the three cuts
+    in order, one repeated where 0 is not cut; row j of the second marks the
+    pieces between -1, the cuts and 1 that are not empty.
+    """
+    edges = np.concatenate([[-1.0], _GK_NODES, [1.0]])
+    gap_mid = 0.5 * (edges[:-1] + edges[1:])
+    before, after = gap_mid[:-2], gap_mid[2:]
+    middle = np.where((before < 0) & (0 < after), before, 0.0)
+    cuts = np.sort(np.stack([before, after, middle], axis=1), axis=1)
+    return cuts, np.diff(cuts, axis=1, prepend=-1.0, append=1.0) > 0
+
+
+_CUTS, _CHILDREN = _cut_table()
+
+
 class QuadratureError(RuntimeError):
     pass
 
 
-def _gauss_kronrod(fn, lo, hi):
+def _gauss_kronrod(fn, lo, hi, tol=None):
     """Kronrod estimates and |Kronrod - Gauss| errors, (intervals, components),
-    of fn on the intervals [lo, hi], from one call of fn at all their nodes."""
+    of fn on the intervals [lo, hi], from one call of fn at all their nodes,
+    and the index of each interval's largest step between neighbouring nodes,
+    a step measured per component relative to tol (by default, the tolerance
+    of the summed estimates)."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
     vals = np.asarray(fn(x.ravel()), dtype=float)
     shape = vals.shape[1:]
     vals = vals.reshape(lo.size, _GK_NODES.size, -1)
     kg = vals.transpose(0, 2, 1) @ _GK_WEIGHTS * half[:, None, None]
-    return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), shape
+    est = kg[..., 0]
+    if tol is None:
+        tol = _ATOL + _RTOL * np.abs(est.sum(axis=0))
+    step = np.abs(np.diff(vals, axis=1))
+    step /= tol
+    largest = np.argmax(step.max(axis=2), axis=1)
+    return est, np.abs(est - kg[..., 1]), largest, shape
 
 
 def _unconverged(total, total_err):
@@ -100,16 +134,25 @@ def _unconverged(total, total_err):
 def _integral(fn, a, b):
     """Integral over [a, b] of fn(x), an array per node of the 1-D array x.
 
-    Adaptive 21-point Gauss-Kronrod by levels.  Each pass bisects every
+    Adaptive 21-point Gauss-Kronrod by levels.  Each pass splits every
     interval whose error, in any component, exceeds that interval's width
     share of the tolerance _ATOL + _RTOL |estimate|, and evaluates fn once at
-    all the new nodes.  It stops when every component's summed error is
-    within the tolerance, and raises QuadratureError where the error is not
-    finite, an interval can no longer be bisected in floating point or the
-    intervals would pass _MAX_INTERVALS.
+    all the new nodes.  An interval is cut around its largest step between
+    neighbouring nodes (_gauss_kronrod), at the midpoints of the node gaps on
+    either side of that step (_cut_table), and at its midpoint unless that
+    node lies next to the step; no child is more than half the interval.  A
+    jump in the step ends in a child of two or three node gaps, which
+    shrinks by 5-10x a pass instead of 2x, and lies at least half a node gap
+    from both of that child's ends.  A cut at a node next to the step could
+    leave the jump just past the child's end node, inside the child's small
+    end gap, where none of its nodes sees it and Kronrod and Gauss agree on
+    the wrong value.  The rule reads only the node values.  It stops when
+    every component's summed error is within the tolerance, and raises
+    QuadratureError where the error is not finite, an interval can no longer
+    be split in floating point or the intervals would pass _MAX_INTERVALS.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    est, err, shape = _gauss_kronrod(fn, lo, hi)
+    est, err, step, shape = _gauss_kronrod(fn, lo, hi)
     while True:
         total, total_err = est.sum(axis=0), err.sum(axis=0)
         if not np.isfinite(total_err).all():
@@ -119,20 +162,24 @@ def _integral(fn, a, b):
             return total.reshape(shape)
         ratio = err / tol
         split = np.any(ratio > ((hi - lo) / (b - a))[:, None], axis=1)
-        if not split.any():  # the shares' rounding: bisect the worst interval
+        if not split.any():  # the shares' rounding: split the worst interval
             split = np.arange(lo.size) == np.argmax(np.max(ratio, axis=1))
+        half = 0.5 * (hi[split] - lo[split])
         mid = 0.5 * (lo[split] + hi[split])
-        if (lo.size + np.count_nonzero(split) > _MAX_INTERVALS
-                or not np.all((lo[split] < mid) & (mid < hi[split]))):
+        ends = np.column_stack([lo[split], mid[:, None] + half[:, None] *
+                                _CUTS[step[split]], hi[split]])
+        children = _CHILDREN[step[split]]
+        new_lo, new_hi = ends[:, :-1][children], ends[:, 1:][children]
+        if (lo.size - mid.size + new_lo.size > _MAX_INTERVALS
+                or not np.all(new_lo < new_hi)):
             raise _unconverged(total, total_err)
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_est, new_err, _ = _gauss_kronrod(fn, new_lo, new_hi)
+        new_est, new_err, new_step, _ = _gauss_kronrod(fn, new_lo, new_hi, tol)
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         est = np.concatenate([est[keep], new_est])
         err = np.concatenate([err[keep], new_err])
+        step = np.concatenate([step[keep], new_step])
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,95 @@ class TestIntegral:
 
         m = weight_moments(counted, 0.1, benchmark_power_densities())
         assert m == weight_moments(wf, 0.1, benchmark_power_densities())
-        assert len(calls) <= 2000
+        assert len(calls) <= 200
+
+
+def gk_nodes(a, b):
+    """The 21 Kronrod nodes of [a, b], in ascending order."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * am._GK_NODES
+
+
+def past_nodes(x, delta=1e-3):
+    """Points a fraction delta of a node gap past each of the nodes x but
+    the last, toward the next one."""
+    return x[:-1] + delta * np.diff(x)
+
+
+def step_integral(edge, calls=None):
+    """_integral over [0, 1] of 2 up to edge and 0.5 past it, its error
+    against the closed form, and the error allowed by _integral's contract.
+    calls, if given, collects the nodes of each call."""
+
+    def fn(x):
+        if calls is not None:
+            calls.append(np.sort(x.reshape(-1, 21), axis=1))
+        return np.where(x <= edge, 2.0, 0.5)
+
+    exact = 0.5 + 1.5 * edge
+    return am._integral(fn, 0.0, 1.0) - exact, am._ATOL + am._RTOL * exact
+
+
+# Edges of a step in the end gap of [0, 1], outside its outermost nodes, read
+# the same at every node of the first pass: no rule that reads the node
+# values can find them, so none is tested.
+_STEP_EDGES = np.concatenate([past_nodes(gk_nodes(0.0, 1.0)),
+                              past_nodes(gk_nodes(0.0, 1.0)[::-1])])
+
+
+class TestSplitRule:
+    """Steps placed just beside the nodes where the interval would be split
+    if it were cut at nodes: each must still be found to the tolerance."""
+
+    @pytest.mark.parametrize("edge", _STEP_EDGES,
+                             ids=["%.6f" % e for e in _STEP_EDGES])
+    def test_step_beside_nodes_of_the_interval_and_its_first_children(
+            self, edge):
+        calls = []
+        err, tol = step_integral(edge, calls)
+        assert abs(err) <= tol
+        # the first children: the intervals of the second call
+        lo, hi = gk_nodes(0.0, 1.0)[[0, -1]]
+        for nodes in calls[1]:
+            for e in past_nodes(nodes):
+                if lo < e < hi:
+                    err, tol = step_integral(e)
+                    assert abs(err) <= tol, (edge, e, err)
+
+    def test_seeded_random_edges(self):
+        lo, hi = gk_nodes(0.0, 1.0)[[0, -1]]
+        for edge in np.random.default_rng(14).uniform(lo, hi, 300):
+            err, tol = step_integral(edge)
+            assert abs(err) <= tol, (edge, err)
+
+    @pytest.mark.parametrize("e_node", [3, 10])
+    def test_narrow_psf_cut_edges_beside_nodes(self, e_node):
+        """The nested case: a sigma = 0.1 PSF, E >= e_lo and phi <= phi_max
+        each just past a node of the outer integral over [1, 5] and of the
+        inner one over [0, 5] or its first children, in the PSF core."""
+        sigma, theta = 0.1, 0.1
+        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                            sigma=sigma).density_pair(
+            am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))
+        inner = gk_nodes(0.0, 5.0)
+        phi_edges = list(past_nodes(inner)[:4])
+        calls = []
+
+        def indicator(x):
+            calls.append(np.sort(x.reshape(-1, 21), axis=1))
+            return (x <= phi_edges[1]).astype(float)
+
+        # the first children of [0, 5] for an edge in the PSF core
+        am._integral(indicator, 0.0, 5.0)
+        for nodes in calls[1]:
+            if inner[0] < nodes[0] and nodes[-1] < 0.6:
+                phi_edges += list(past_nodes(nodes))
+        e_lo = past_nodes(gk_nodes(1.0, 5.0))[e_node]
+        for phi_max in phi_edges:
+            m = weight_moments(cut_weight_fn(e_lo=e_lo, phi_max=phi_max),
+                               theta, dens)
+            beta1, zeta1 = cut_moments_closed_form(sigma, e_lo, phi_max)
+            assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0), phi_max
+            assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0), phi_max
 
 
 class TestMovingCutEdge:

@@ -409,9 +409,10 @@ print(json.dumps({"first": first, "scipy": scipy,
 
 def test_scipy_loaded_only_where_called(tmp_path):
     """Importing the package and running simulate, detect (optimal weights,
-    theta by MLE, a non-flat template), scan and power with a cut weight
-    loads no scipy module.  A flat template's detect and a power with the
-    PSF weight, which do use scipy, give the values they gave before."""
+    theta by MLE, a non-flat template and a flat one), scan and power with a
+    cut weight loads no scipy module.  The flat template's detect gives the
+    values it gave with scipy's chi-square tail, and a power with the PSF
+    weight, which does use scipy, gives the value it gave before."""
     lean = base_config(weight={"kind": "optimal"},
                        template={"amps_sq": [1.0, 0.25]},
                        scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
@@ -430,9 +431,9 @@ def test_scipy_loaded_only_where_called(tmp_path):
               ["simulate", "--config", flat, "--out", null, "--seed", "4"],
               ["detect", "--config", cfg, "--events", events],
               ["scan", "--config", cfg, "--events", events],
-              ["power", "--config", cut]],
-             [["detect", "--config", flat, "--events", null],
-              ["power", "--config", psf]]]
+              ["power", "--config", cut],
+              ["detect", "--config", flat, "--events", null]],
+             [["power", "--config", psf]]]
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(photonperiod.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -443,7 +444,8 @@ def test_scipy_loaded_only_where_called(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert [code for code, _ in got["first"] + got["later"]] == [0] * 7
     assert got["scipy"] == []
-    detect_flat, power_psf = (json.loads(out) for _, out in got["later"])
+    detect_flat, power_psf = (json.loads(out) for _, out in
+                              (got["first"][-1], got["later"][0]))
     assert detect_flat["n_events"] == 10155
     assert detect_flat["qt"] == pytest.approx(284.03976090691884, rel=1e-12)
     assert detect_flat["p_value"] == pytest.approx(0.13518986964855872,
