@@ -3,13 +3,31 @@
 Times are printed with 17 significant digits so a write/read round trip is
 exact in double precision.
 
-`read_events` hands `np.loadtxt` the path, skipping the lines up to and
-including the header, after one search of the raw bytes for the characters on
-which numpy and `float` disagree.  Where numpy rejects the rows, finds a column
-count other than the header's, or such a character is found (or the path has
-a suffix numpy decompresses), the line-by-line parser reads the file again
-from the top; it alone reports errors, each naming its `path:lineno`.  The two
-accept exactly the same files and give bit-identical columns.
+`read_events` tries three readers in turn; each gives the columns of the
+line-by-line parser bit for bit or declines the file.
+
+1. Column-aligned files: each field of the first data row is
+   `digits[.digits]` with 1 to 15 digits, fields are split by `,` and rows
+   end in a line feed, and every data row has that row's layout: its length,
+   a digit wherever it has a digit and its byte everywhere else (so no
+   carriage return, sign, exponent, space, comment or blank line).  The rows
+   are parsed in place over the fixed 2^16-row blocks of
+   `detector._map_blocks`, each block read by its own positioned read.  A
+   field is its digits as an integer M < 10^15, built by Horner steps in
+   float64 (exact below 2^53), divided by 10^k for its k fraction digits,
+   which is exact for k <= 22.  By Clinger's condition (both operands exact,
+   one correctly rounded division) that is the double nearest the decimal,
+   the value `float` gives.
+2. `np.loadtxt` is handed the path, skipping the lines up to and including
+   the header, after one search of the raw bytes for the characters on which
+   numpy and `float` disagree.  It reads the files `write_events` writes
+   (17 digits, variable width).  It declines where numpy rejects the rows,
+   finds a column count other than the header's, or such a character is
+   found (or the path has a suffix numpy decompresses).
+3. The line-by-line parser reads the file from the top; it alone reports
+   errors, each naming its `path:lineno`.
+
+The three accept exactly the same files.
 """
 
 import os
@@ -18,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from .detector import _map_blocks
 from .simulator import EventList
 
 __all__ = ["write_events", "read_events"]
@@ -28,6 +47,8 @@ _COLUMNS = ("time", "energy", "angle")
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # np.loadtxt decompresses a path with one of these suffixes; open() does not.
 _NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
+# Digits of an aligned field: below 10^15 every Horner step is exact.
+_MAX_DIGITS = 15
 
 
 def write_events(path, events, weights=None, header_comment=None):
@@ -47,11 +68,11 @@ def write_events(path, events, weights=None, header_comment=None):
 def read_events(path):
     """Parse an event CSV.  Returns (EventList, weights-or-None), rows in
     stable time order, every column contiguous."""
-    columns = _read_columns_fast(path)
-    if columns is None:
-        columns = _read_columns(path)
+    columns = (_read_columns_aligned(path) or _read_columns_fast(path)
+               or _read_columns(path))
     _check_values(path, columns)
-    if np.all(np.diff(columns["time"]) >= 0):  # already sorted: no gathers
+    t = columns["time"]  # finite here: no NaN can pass an unsorted pair
+    if np.all(t[1:] >= t[:-1]):  # already sorted: no gathers
         for name, values in columns.items():
             columns[name] = np.ascontiguousarray(values)
     else:
@@ -74,6 +95,96 @@ def _header(path, lineno, line):
             "[,weight]" % (path, lineno, line)
         )
     return names
+
+
+def _aligned_layout(row, fields):
+    """[(digit byte offsets, fraction digits)] per field of a data row,
+    or None unless it is `fields` fields of `digits[.digits]` with 1 to
+    _MAX_DIGITS digits ended by a newline."""
+    if not row.endswith(b"\n"):
+        return None
+    layout, pos = [], 0
+    for field in row[:-1].split(b","):
+        whole, _, frac = field.partition(b".")
+        digits = len(whole) + len(frac)
+        if not 1 <= digits <= _MAX_DIGITS or not (whole + frac).isdigit():
+            return None
+        offsets = [pos + i for i, c in enumerate(field) if c != ord(".")]
+        layout.append((offsets, len(frac)))
+        pos += len(field) + 1
+    return layout if len(layout) == fields else None
+
+
+def _read_columns_aligned(path):
+    """Column name -> values of a column-aligned file (module docstring),
+    or None for any other file.  Bit-identical to _read_columns's columns
+    for every worker count: each block's values depend on its bytes alone."""
+    if not hasattr(os, "pread"):
+        return None
+    with open(path, "rb") as fh:
+        names = None
+        for lineno, raw in enumerate(fh, start=1):
+            # ASCII without \r: the lines and strip() of the text-mode parser
+            if b"\r" in raw or not raw.isascii():
+                return None
+            line = raw.decode("ascii").strip()
+            if line and not line.startswith("#"):
+                try:
+                    names = _header(path, lineno, line)
+                except ValueError:  # reported by _read_columns
+                    return None
+                break
+        if names is None:
+            return None
+        start = fh.tell()
+        row = fh.readline(len(names) * (_MAX_DIGITS + 2))
+        layout = _aligned_layout(row, len(names))
+        if layout is None:
+            return None
+        width = len(row)
+        n, extra = divmod(os.fstat(fh.fileno()).st_size - start, width)
+        if extra:
+            return None
+        # byte column j of a row, less lo[j] in uint8, is at most span[j]:
+        # a digit (then its value) where the first row has a digit, and
+        # that row's byte (then 0) everywhere else
+        lo = np.frombuffer(row, dtype=np.uint8).copy()
+        span = np.zeros(width, dtype=np.uint8)
+        for offsets, _ in layout:
+            lo[offsets] = ord("0")
+            span[offsets] = 9
+        lo, span = lo[:, None], span[:, None]
+        columns = {name: np.empty(n) for name in names}
+        rejected = []
+
+        def parse(_, block):
+            if rejected:  # another block already declined the file
+                return
+            rows = min(block.stop, n) - block.start
+            data = os.pread(fh.fileno(), rows * width,
+                            start + block.start * width)
+            if len(data) != rows * width:
+                rejected.append(block)
+                return
+            # one contiguous row per byte column: numpy threads and
+            # vectorizes contiguous loops, not strided casting ones
+            digits = np.frombuffer(data, dtype=np.uint8).reshape(rows, width).T
+            digits = np.subtract(digits, lo, order="C")
+            if not np.all(digits <= span):
+                rejected.append(block)
+                return
+            for name, (offsets, frac) in zip(names, layout):
+                # Horner: every partial sum is an integer below 10^15 < 2^53
+                out = columns[name][block]
+                np.copyto(out, digits[offsets[0]])
+                for offset in offsets[1:]:
+                    out *= 10
+                    out += digits[offset]
+                if frac:
+                    out /= float(10 ** frac)
+
+        _map_blocks(parse, n)
+    return None if rejected else columns
 
 
 def _read_columns_fast(path):
@@ -166,7 +277,11 @@ def _check_values(path, columns):
 
 def _data_lineno(path, row):
     """Line number of the row-th (0-based) data row of an event CSV."""
+    left = row + 1  # the header is the first non-comment line
     with open(path) as fh:
-        numbered = [lineno for lineno, raw in enumerate(fh, start=1)
-                    if raw.strip() and not raw.strip().startswith("#")]
-    return numbered[row + 1]  # numbered[0] is the header
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                if not left:
+                    return lineno
+                left -= 1

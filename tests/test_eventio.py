@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from photonperiod import eventio, read_events, write_events
+from photonperiod import detector, eventio, read_events, write_events
 from photonperiod.simulator import EventList
 
 
@@ -208,6 +208,18 @@ def _outcome(path):
         None if w is None else w.tobytes()]
 
 
+def _assert_same_as_line_parser(path, columns):
+    exact = eventio._read_columns(path)
+    assert list(columns) == list(exact)
+    for name, values in exact.items():
+        assert columns[name].tobytes() == values.tobytes()
+
+
+def _line_parser_only(monkeypatch):
+    for reader in ("_read_columns_aligned", "_read_columns_fast"):
+        monkeypatch.setattr(eventio, reader, lambda path: None)
+
+
 class TestSameAsLineParser:
     @pytest.mark.parametrize("text, fast", [c[1:] for c in CORPUS],
                              ids=[c[0] for c in CORPUS])
@@ -217,13 +229,11 @@ class TestSameAsLineParser:
         columns = eventio._read_columns_fast(path)
         if fast is not None:
             assert (columns is not None) == fast
-        if columns is not None:
-            exact = eventio._read_columns(path)
-            assert list(columns) == list(exact)
-            for name, values in exact.items():
-                assert columns[name].tobytes() == values.tobytes()
+        for columns in (columns, eventio._read_columns_aligned(path)):
+            if columns is not None:
+                _assert_same_as_line_parser(path, columns)
         got = _outcome(path)
-        monkeypatch.setattr(eventio, "_read_columns_fast", lambda path: None)
+        _line_parser_only(monkeypatch)
         assert got == _outcome(path)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -259,7 +269,7 @@ class TestSameAsLineParser:
                           (back.angle, ev.angle), (w, weights)):
             assert got.tobytes() == want.tobytes()
         got = _outcome(path)
-        monkeypatch.setattr(eventio, "_read_columns_fast", lambda path: None)
+        _line_parser_only(monkeypatch)
         assert got == _outcome(path)
 
 
@@ -273,3 +283,153 @@ class TestNoWarnings:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no event rows"):
                 read_events(path)
+
+
+# (id, file text): column-aligned files the aligned reader must read
+ALIGNED = [
+    ("benchmark cells", HEAD + "00000.003348,00.191014,2.944889\n"
+                               "00000.015083,00.187760,4.882283\n"),
+    ("leading dot", HEAD + ".5,.25,.125\n.7,.00,.000\n"),
+    ("trailing dot", HEAD + "5.,2.,3.\n0.,9.,1.\n"),
+    ("integers", HEAD + "5,2,3\n0,9,1\n"),
+    ("leading zeros", HEAD + "0001.50,000.0,0.1\n0000.00,009.9,0.0\n"),
+    ("weight column", "time,energy,angle,weight\n1.5,2.0,0.5,0.30\n"
+                      "2.5,2.0,0.5,1.00\n"),
+    ("comments and blanks before header",
+     "# a\n\n  \t\n# b\x1c\n" + HEAD + "1.0,2.0,3.0\n"),
+    ("15-digit fields", HEAD + "123456789.012345,.999999999999999,"
+                               "999999999999999\n"
+                               "000000000.000001,.000000000000001,"
+                               "100000000000000\n"),
+]
+
+# (id, file text): files the aligned reader must decline
+UNALIGNED = [
+    ("16-digit field", HEAD + "1234567890.123456,2.0,3.0\n"),
+    ("16-digit integer", HEAD + "1234567890123456,2.0,3.0\n"),
+    ("crlf", HEAD + "1.0,2.0,3.0\r\n2.0,2.0,3.0\r\n"),
+    ("crlf before header", "# a\r\n" + HEAD + "1.0,2.0,3.0\n"),
+    ("no final newline", HEAD + "1.0,2.0,3.0\n2.0,2.0,3.0"),
+    ("minus sign", HEAD + "-1.0,2.0,3.0\n"),
+    ("minus sign in a later row", HEAD + "11.0,2.0,3.0\n-1.0,2.0,3.0\n"),
+    ("plus sign", HEAD + "11.0,2.0,3.0\n+1.0,2.0,3.0\n"),
+    ("exponent", HEAD + "1e5,2.0,3.0\n"),
+    ("exponent in a later row", HEAD + "1.0,2.0,3.0\n1e0,2.0,3.0\n"),
+    ("row whose dot moves", HEAD + "1.25,2.0,3.0\n12.5,2.0,3.0\n"),
+    ("longer row", HEAD + "1.0,2.0,3.0\n10.0,2.0,3.0\n"),
+    ("space", HEAD + "1.0,2.0,3.0\n1.0,2.0, 30\n"),
+    ("comment after header", HEAD + "1.0,2.0,3.0\n# note\n2.0,2.0,3.0\n"),
+    ("blank line after header", HEAD + "1.0,2.0,3.0\n\n"),
+    ("nul", HEAD + "1.0,2.0,3.0\n1.0,2.0,3\x000\n"),
+    ("lone dot", HEAD + ".,2.0,3.0\n"),
+    ("two dots", HEAD + "1.0.0,2.0,3.0\n"),
+    ("empty field", HEAD + "1.0,,3.0\n"),
+    ("four fields under three names", HEAD + "1.0,2.0,3.0,4.0\n"),
+    ("non-ascii comment", "# \u00e9\n" + HEAD + "1.0,2.0,3.0\n"),
+    ("arabic-indic digit", HEAD + "1.0,2.0,3.0\n\u0661.0,2.0,3.0\n"),
+    ("header only", HEAD),
+    ("bad header", "energy,time,angle\n1.0,2.0,3.0\n"),
+    ("empty file", ""),
+]
+
+
+def _aligned_file(tmp_path, rows, bad_row=None):
+    """HEAD plus rows of `t,e,a` cells 11 bytes wide; row bad_row has a
+    minus sign in place of its first digit."""
+    i = np.arange(rows)
+    cells = [("%03d.%d,%d.%d,%d.%d\n" % (k % 1000, k % 10, k % 7, k % 3,
+                                       k % 5, k % 9)).encode() for k in i]
+    if bad_row is not None:
+        cells[bad_row] = b"-" + cells[bad_row][1:]
+    path = tmp_path / "ev.csv"
+    path.write_bytes(HEAD.encode() + b"".join(cells))
+    return path
+
+
+class TestAlignedReader:
+    @pytest.mark.parametrize("text", [c[1] for c in ALIGNED],
+                             ids=[c[0] for c in ALIGNED])
+    def test_reads_aligned_files_as_the_line_parser(self, tmp_path,
+                                                    monkeypatch, text):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(text.encode())
+        columns = eventio._read_columns_aligned(path)
+        assert columns is not None
+        _assert_same_as_line_parser(path, columns)
+        got = _outcome(path)
+        _line_parser_only(monkeypatch)
+        assert got == _outcome(path)
+
+    @pytest.mark.parametrize("text", [c[1] for c in UNALIGNED],
+                             ids=[c[0] for c in UNALIGNED])
+    def test_declines_other_files(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(text.encode())
+        assert eventio._read_columns_aligned(path) is None
+        got = _outcome(path)
+        _line_parser_only(monkeypatch)
+        assert got == _outcome(path)
+
+    def test_bad_byte_in_last_of_three_blocks(self, tmp_path, monkeypatch):
+        rows = 2 * detector._AN_BLOCK + 100
+        path = _aligned_file(tmp_path, rows, bad_row=rows - 3)
+        assert eventio._read_columns_aligned(path) is None
+        got = _outcome(path)
+        assert np.frombuffer(got[0])[0] == -69.9  # row rows - 3
+        _line_parser_only(monkeypatch)
+        assert got == _outcome(path)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_layouts_match_the_line_parser(self, tmp_path, seed):
+        """Random layouts of 3 or 4 fields, each with 1 to 15 digits of
+        which 0 to 15 are fraction digits, all rows random digits."""
+        rng = np.random.default_rng(seed)
+        fields = int(rng.integers(3, 5))
+        layout = []
+        for _ in range(fields):
+            digits = int(rng.integers(1, 16))
+            frac = int(rng.integers(0, digits + 1))
+            dot = frac > 0 or rng.random() < 0.5
+            layout.append((digits - frac, frac, dot))
+        rows = 3000
+        digits = rng.integers(0, 10, (rows, sum(w + f for w, f, _ in layout)))
+        digits[:10] = 9  # the largest mantissa of each field
+        digits[10:20] = 0
+        text = [",".join(HEAD.strip().split(",") + ["weight"][:fields - 3])]
+        for row in digits.astype(str):
+            cells, pos = [], 0
+            for whole, frac, dot in layout:
+                cells.append("".join(row[pos:pos + whole]) + "." * dot
+                             + "".join(row[pos + whole:pos + whole + frac]))
+                pos += whole + frac
+            text.append(",".join(cells))
+        path = tmp_path / "ev.csv"
+        path.write_text("\n".join(text) + "\n")
+        columns = eventio._read_columns_aligned(path)
+        assert columns is not None
+        _assert_same_as_line_parser(path, columns)
+
+    def test_worker_count_moves_no_bit(self, tmp_path, monkeypatch):
+        path = _aligned_file(tmp_path, 2 * detector._AN_BLOCK + 100)
+        got = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(detector, "_cpus", lambda: cpus)
+            columns = eventio._read_columns_aligned(path)
+            got.append([values.tobytes() for values in columns.values()])
+        assert got[0] == got[1]
+        _assert_same_as_line_parser(path, columns)
+
+    def test_read_events_takes_aligned_columns_without_a_copy(
+            self, tmp_path, monkeypatch):
+        path = _aligned_file(tmp_path, 100)  # times in order
+        read = []
+        aligned = eventio._read_columns_aligned
+
+        def spy(path):
+            read.append(aligned(path))
+            return read[0]
+
+        monkeypatch.setattr(eventio, "_read_columns_aligned", spy)
+        ev, w = read_events(path)
+        assert w is None
+        assert ev.t is read[0]["time"] and ev.angle is read[0]["angle"]
