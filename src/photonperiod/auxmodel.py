@@ -11,7 +11,14 @@ over all of its new energy nodes.  An interval is split around its largest
 step between neighbouring nodes, at the midpoints of the node gaps on either
 side of it (never at a node next to it, where a cut edge could hide in the
 child's end gap), so a cut edge is found in a few passes, not one bisection
-per bit.
+per bit.  Before the integrals, a probe reads the weight on a coarse (E, phi)
+grid whose end probes lie 1e-9 of the width inside the ends, and narrows
+each bracket where a value jumps to within floating-point resolution
+(_breakpoints).  The jumps found at one place on two probe lines and the
+ends of the densities' supports are the integrals' breakpoints, so a cut
+converges in the passes a smooth weight takes, and an edge in an end gap,
+which no node of the first pass sees, is found unless it lies within the
+probe's end offset.
 """
 
 from dataclasses import dataclass
@@ -131,10 +138,12 @@ def _unconverged(total, total_err):
         % (np.max(total_err), np.max(np.abs(total))))
 
 
-def _integral(fn, a, b):
+def _integral(fn, a, b, points=()):
     """Integral over [a, b] of fn(x), an array per node of the 1-D array x.
 
-    Adaptive 21-point Gauss-Kronrod by levels.  Each pass splits every
+    Adaptive 21-point Gauss-Kronrod by levels, from the pieces of [a, b]
+    between the breakpoints points (QUADPACK's dqagp): those strictly inside
+    (a, b) are used, once each, and the rest ignored.  Each pass splits every
     interval whose error, in any component, exceeds that interval's width
     share of the tolerance _ATOL + _RTOL |estimate|, and evaluates fn once at
     all the new nodes.  An interval is cut around its largest step between
@@ -151,7 +160,10 @@ def _integral(fn, a, b):
     QuadratureError where the error is not finite, an interval can no longer
     be split in floating point or the intervals would pass _MAX_INTERVALS.
     """
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    points = np.asarray(points, dtype=float)
+    edges = np.concatenate([[a], np.unique(points[(a < points) & (points < b)]),
+                            [b]])
+    lo, hi = edges[:-1], edges[1:]
     est, err, step, shape = _gauss_kronrod(fn, lo, hi)
     while True:
         total, total_err = est.sum(axis=0), err.sum(axis=0)
@@ -586,49 +598,158 @@ class WeightMoments:
         return (1.0 - self.theta) * self.beta2 + self.theta * self.zeta2
 
 
+# The probe that finds a weight's jumps before the nested integral
+# (_breakpoints): probes an axis, the end probes' distance inside the ends as
+# a fraction of the width, sections of each narrowing step, and the smallest
+# difference, relative to its component's largest value, that can be a jump.
+_PROBES = 33
+_END_OFFSET = 1e-9
+_SECTIONS = 32
+_JUMP_FLOOR = 1e-6
+# Floating-point steps within which a located jump is too near another
+# breakpoint to be one: a piece that narrow could hold a jump its nodes see
+# and could not be split for as many passes as its integral may take.
+_APART = 2**16
+
+
+def _steps(vals, live, scale):
+    """Differences between neighbouring points along the last axis of vals,
+    (k, ..., n), each relative to its component's scale and the largest of
+    the k taken; 0 where either point lies outside both densities."""
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    d = np.abs(np.diff(vals, axis=-1)) * inv.reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.where(live[..., 1:] & live[..., :-1], d.max(axis=0), 0.0)
+
+
+def _breakpoints(values, ranges, ends):
+    """Breakpoints of the integrals along energy and along angle: the ends
+    of the densities' supports on each axis, ends, and the jumps of g found
+    from its values.
+
+    values(e, phi) returns g's values (k, n) at the 1-D point arrays and
+    whether a density is nonzero at each point.  g is probed on a grid of
+    _PROBES points on each axis of ranges, ((e_lo, e_hi), (0, r_max)), with
+    the end probes _END_OFFSET of the width inside the ends, and read along
+    energy at every probe angle and along angle at every probe energy.  A
+    difference between neighbouring probes (_steps) above _JUMP_FLOOR and
+    above twice each neighbouring difference brackets a candidate.  Each
+    weight call cuts every candidate's bracket into _SECTIONS and keeps the
+    piece of the largest difference while that difference is at least half
+    the bracket's: a jump's difference stays, a smooth function's shrinks
+    _SECTIONS-fold, and such a candidate is dropped.  A bracket within
+    _SECTIONS floating-point steps is a jump, at its midpoint.  A jump is a
+    breakpoint where two probe lines find it at the same place, so that it
+    holds across the other axis, unless it lies within _APART floating-point
+    steps of an end or of a jump already taken.  Not found: a jump within the
+    end offset of an end, a jump whose bracket holds a larger change or a
+    second jump, and a jump that moves along the other axis, which the
+    integrals find as before.  Returns the energy and angle breakpoints.
+    """
+    grid = []
+    for a, b in ranges:
+        x = np.linspace(a, b, _PROBES)
+        x[[0, -1]] += _END_OFFSET * (b - a) * np.array([1.0, -1.0])
+        grid.append(x)
+    vals, live = values(*(x.ravel() for x in np.meshgrid(*grid, indexing="ij")))
+    vals = vals.reshape(-1, _PROBES, _PROBES)
+    live = live.reshape(_PROBES, _PROBES)
+    scale = np.abs(vals).max(axis=(1, 2))
+    # each candidate: its axis, the other coordinate, bracket and difference
+    axis, fixed, lo, hi, diff = [], [], [], [], []
+    for ax in (0, 1):
+        d = _steps(np.moveaxis(vals, 1 + ax, -1), np.moveaxis(live, ax, -1),
+                   scale)
+        pad = np.pad(d, ((0, 0), (1, 1)))
+        row, i = np.nonzero((d > _JUMP_FLOOR) & (d > 2.0 * pad[:, :-2])
+                            & (d > 2.0 * pad[:, 2:]))
+        axis.append(np.full(row.size, ax))
+        fixed.append(grid[1 - ax][row])
+        lo.append(grid[ax][i])
+        hi.append(grid[ax][i + 1])
+        diff.append(d[row, i])
+    axis, fixed, lo, hi, diff = map(np.concatenate, (axis, fixed, lo, hi, diff))
+    fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)
+    found_axis, found_at = [np.empty(0, int)], [np.empty(0)]
+    while lo.size:
+        t = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
+        other = np.broadcast_to(fixed[:, None], t.shape)
+        along_e = (axis == 0)[:, None]
+        vals, live = values(np.where(along_e, t, other).ravel(),
+                            np.where(along_e, other, t).ravel())
+        d = _steps(vals.reshape((-1,) + t.shape), live.reshape(t.shape), scale)
+        rows, j = np.arange(lo.size), np.argmax(d, axis=1)
+        keep = d[rows, j] >= 0.5 * diff
+        lo, hi, diff = t[rows, j], t[rows, j + 1], d[rows, j]
+        located = keep & (hi - lo <= _SECTIONS * np.spacing(
+            np.maximum(np.abs(lo), np.abs(hi))))
+        found_axis.append(axis[located])
+        found_at.append(0.5 * (lo + hi)[located])
+        keep &= ~located
+        axis, fixed, lo, hi, diff = (x[keep] for x in (axis, fixed, lo, hi, diff))
+    found_axis, found_at = np.concatenate(found_axis), np.concatenate(found_at)
+    points = []
+    for ax in (0, 1):
+        at, lines = np.unique(found_at[found_axis == ax], return_counts=True)
+        kept = list(ends[ax])
+        for x in at[lines >= 2]:
+            if np.all(np.abs(x - np.array(kept)) > _APART * np.spacing(abs(x))):
+                kept.append(x)
+        points.append(np.array(kept))
+    return points
+
+
 def _expectations(g, densities):
     """Integrals of g(E, phi) against f_B (row 0) and f_S (row 1), in one pass.
 
     g maps node arrays (e, phi) to a sequence of k value arrays.  The outer
     integral runs over the union of the energy supports; each of its passes
     takes one inner integral over [0, max r_max] for all of its new nodes.
-    g is evaluated once per node, and not where both densities vanish.
-    Returns shape (2, k).
+    Both start from the pieces between their breakpoints (_breakpoints): the
+    ends of the densities' supports and the jumps of g, so a cut's edges are
+    found once, not hunted by every integral.  g is evaluated not where both
+    densities vanish.  Returns shape (2, k).
     """
     pdfs = (densities.pdf_background, densities.pdf_source)
     lows, highs = zip(densities.background_energy.support,
                       densities.source_energy.support)
-    r_max = max(densities.background_angle.r_max, densities.source_angle.r_max)
+    r_maxes = (densities.background_angle.r_max, densities.source_angle.r_max)
+    e_range, phi_range = (min(lows), max(highs)), (0.0, max(r_maxes))
+
+    def weight_values(e, phi):
+        """Densities (2, n), g's values (k, n), 0 where both densities
+        vanish, and where they do not (n,), at the 1-D arrays e and phi."""
+        dens = np.stack([pdf(e, phi) for pdf in pdfs])
+        live = np.any(dens != 0, axis=0)
+        if live.all():  # no gathers: g takes every point
+            vals = np.array(g(e, phi), dtype=float)
+            inside = vals
+        else:
+            inside = np.array(g(e[live], phi[live]), dtype=float)
+            vals = np.zeros(inside.shape[:1] + e.shape)
+            vals[:, live] = inside
+        if not np.isfinite(inside).all():
+            raise ValueError("weight is not finite inside the density support")
+        return dens, vals, live
 
     def integrand(phi, e):
         grid_e, grid_phi = np.broadcast_arrays(e[None, :], phi[:, None])
-        dens = np.stack([pdf(grid_e, grid_phi) for pdf in pdfs])
-        live = np.any(dens != 0, axis=0)
-        every = live.all()
-        if every:  # no gathers: g takes the whole grid
-            dens = dens.reshape(2, -1)
-            vals = g(grid_e.ravel(), grid_phi.ravel())
-        else:
-            dens = dens[:, live]
-            vals = g(grid_e[live], grid_phi[live])
-        vals = np.array(vals, dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError("weight is not finite inside the density support")
+        dens, vals, _ = weight_values(grid_e.ravel(), grid_phi.ravel())
         # (nodes, 2, k): each entry one product
         prod = dens.T[:, :, None] * vals.T[:, None, :]
-        if every:
-            return prod.reshape(live.shape + prod.shape[1:])
-        out = np.zeros(live.shape + prod.shape[1:])
-        out[live] = prod
-        return out
+        return prod.reshape(grid_e.shape + prod.shape[1:])
 
-    return _integral(lambda e: _integral(lambda phi: integrand(phi, e), 0.0, r_max),
-                     min(lows), max(highs))
+    e_points, phi_points = _breakpoints(
+        lambda e, phi: weight_values(e, phi)[1:], (e_range, phi_range),
+        (lows + highs, r_maxes))
+    return _integral(
+        lambda e: _integral(lambda phi: integrand(phi, e), *phi_range, phi_points),
+        *e_range, e_points)
 
 
 def weight_moments(w, theta, densities):
     """beta1, beta2, zeta1, zeta2 by nested adaptive Gauss-Kronrod integrals
-    (_integral), one call of w per pass of the inner angle integral."""
+    (_integral), one call of w per pass of the inner angle integral, after
+    one call of w per step of the probe for its jumps (_breakpoints)."""
 
     def g(e, p):
         v = w(e, p)

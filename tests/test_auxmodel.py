@@ -243,6 +243,24 @@ class TestCutClosedForm:
         assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
         assert weight_efficiency(m, theta) == pytest.approx(eff, rel=1e-8, abs=0)
 
+    @pytest.mark.parametrize("cut", [{"phi_max": 0.01}, {"e_lo": 4.995}],
+                             ids=["phi_max=0.01", "e_lo=4.995"])
+    def test_edges_in_the_end_gaps_of_the_first_intervals(self, cut):
+        """Edges outside the outermost Kronrod nodes of [0, 5] (0.0109) and
+        of [1, 5] (4.9913), which no node of the integrals' first pass
+        sees: the probe finds them from the weight's values."""
+        theta = 0.1
+        m = weight_moments(cut_weight_fn(**cut), theta,
+                           benchmark_power_densities())
+        beta1, zeta1 = cut_moments_closed_form(
+            1.0, cut.get("e_lo", 1.0), cut.get("phi_max", 5.0))
+        eff = zeta1**2 / ((1.0 - theta) * beta1 + theta * zeta1)
+        assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.beta2 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0)
+        assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
+        assert weight_efficiency(m, theta) == pytest.approx(eff, rel=1e-8, abs=0)
+
     def test_bare_callable_matches_weight_function(self):
         """The integral reads only the weight's values, never its params."""
         dens = xi1_densities()
@@ -295,19 +313,73 @@ class TestIntegral:
         assert len(calls) < 1100
         assert max(calls) <= 21 * am._MAX_INTERVALS
 
-    def test_benchmark_energy_angle_cut_calls(self):
-        """The power benchmark's E >= 4.3, phi <= 2 cut: one weight call per
-        inner pass over all the energy nodes of an outer pass."""
-        wf = cut_weight_fn(e_lo=4.3, phi_max=2.0)
+    def test_step_at_a_breakpoint_converges_in_one_call(self):
+        edge = np.pi / 9
         calls = []
 
-        def counted(e, phi):
-            calls.append(np.size(e))
-            return wf(e, phi)
+        def fn(x):
+            calls.append(x.size)
+            return np.where(x <= edge, 2.0, 0.5)
 
-        m = weight_moments(counted, 0.1, benchmark_power_densities())
-        assert m == weight_moments(wf, 0.1, benchmark_power_densities())
-        assert len(calls) <= 200
+        value = am._integral(fn, 0.0, 1.0, points=[edge])
+        assert calls == [42]
+        assert value == pytest.approx(0.5 + 1.5 * edge, rel=1e-9, abs=0)
+
+    def test_breakpoints_of_a_smooth_integrand_agree_within_the_contract(self):
+        def fn(x):
+            return np.stack([np.exp(x), np.sin(3.0 * x)], axis=1)
+
+        plain = am._integral(fn, 0.0, 2.0)
+        pieces = am._integral(fn, 0.0, 2.0, points=[0.3, np.sqrt(2.0), 1.9])
+        assert np.all(np.abs(pieces - plain) <= am._ATOL + am._RTOL * np.abs(plain))
+
+    def test_breakpoints_outside_at_the_ends_or_repeated_are_ignored(self):
+        edge = np.pi / 9
+        calls = []
+
+        def fn(x):
+            calls.append(x.copy())
+            return np.where(x <= edge, 2.0, 0.5)
+
+        def run(points):
+            calls.clear()
+            value = am._integral(fn, 0.0, 1.0, points)
+            return value, [c.tolist() for c in calls]
+
+        assert run([-1.0, 0.0, 1.0, 2.0, np.nan]) == run(())
+        assert run([edge, 1.0, edge, 0.0, 3.0]) == run([edge])
+
+    def test_benchmark_energy_angle_cut_calls(self):
+        """The power benchmark's E >= 4.3, phi <= 2 cut: one weight call per
+        step of the probe for jumps, then one per inner pass over all the
+        energy nodes of an outer pass.  11 calls, bounded with a margin of 5
+        for probe steps that floating point may add."""
+        assert benchmark_weight_calls(cut_weight_fn(e_lo=4.3, phi_max=2.0)) <= 16
+
+    @pytest.mark.parametrize("weight, most", [
+        (lambda: cut_weight_fn(phi_max=2.0), 16),
+        (lambda: am.psf_gaussian_weight_fn(xi1_geometry()), 8),
+        (lambda: optimal_weight_fn(0.1, benchmark_power_densities()), 8),
+    ], ids=["angle-cut", "psf", "optimal"])
+    def test_benchmark_weight_calls(self, weight, most):
+        """The benchmark's other weights: 12, 5 and 5 calls.  The bounds are
+        at most twice the 22, 4 and 4 calls taken without the probe, so it
+        costs a smooth weight at most as many calls again."""
+        assert benchmark_weight_calls(weight()) <= most
+
+
+def benchmark_weight_calls(wf):
+    """Calls of wf by weight_moments on the power benchmark's densities, whose
+    moments must equal those of wf uncounted."""
+    calls = []
+
+    def counted(e, phi):
+        calls.append(np.size(e))
+        return wf(e, phi)
+
+    m = weight_moments(counted, 0.1, benchmark_power_densities())
+    assert m == weight_moments(wf, 0.1, benchmark_power_densities())
+    return len(calls)
 
 
 def gk_nodes(a, b):
@@ -423,6 +495,52 @@ class TestMovingCutEdge:
         assert m.beta2 == pytest.approx(beta1, rel=1e-8, abs=0)
         assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0)
         assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
+
+
+    @pytest.mark.parametrize("edge, e_lo, phi_max", [
+        (lambda e, phi: phi <= 0.7 + 1e-15 * e, 1.0, 0.7),
+        (lambda e, phi: e >= 1.23 + 1e-14 * phi, 1.23, 5.0),
+    ], ids=["angle", "energy"])
+    def test_edge_moving_by_a_few_floating_point_steps(self, edge, e_lo, phi_max):
+        """The probe lines locate such an edge at places a few floating-point
+        steps apart; a piece between two of them would hold the edge and
+        could not be split.  Against the fixed cut, 1e-13 relative away."""
+        theta = 0.1
+        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                            sigma=0.1).density_pair(
+            am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))
+        m = weight_moments(lambda e, phi: edge(e, phi).astype(float), theta, dens)
+        beta1, zeta1 = cut_moments_closed_form(0.1, e_lo, phi_max)
+        assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0)
+        assert m.zeta1 == pytest.approx(zeta1, rel=1e-8, abs=0)
+
+
+class TestBreakpoints:
+    def test_fixed_edges_are_located_and_moving_ones_left_to_the_integrals(self):
+        def values(e, phi):
+            fixed = (e >= 4.3) & (phi <= 2.0)
+            moving = phi <= 0.7 + 0.37 * e
+            return np.stack([fixed, moving]).astype(float), np.ones(e.size, bool)
+
+        e_points, phi_points = am._breakpoints(
+            values, ((1.0, 5.0), (0.0, 5.0)), ((1.0, 5.0), (5.0,)))
+        assert e_points[:2].tolist() == [1.0, 5.0]
+        assert phi_points[:1].tolist() == [5.0]
+        assert e_points[2:] == pytest.approx([4.3], rel=1e-14, abs=0)
+        assert phi_points[1:] == pytest.approx([2.0], rel=1e-14, abs=0)
+
+    def test_values_outside_both_densities_are_not_read(self):
+        # g steps from 1 to 0 across a gap between the supports: the values
+        # in the gap, where g would step to 5 and back, do not count
+        def values(e, phi):
+            live = (e <= 2.0) | (e >= 3.0)
+            w = np.where(e <= 2.0, 1.0, np.where(e >= 3.0, 0.0, 5.0))
+            return w[None, :], live
+
+        e_points, phi_points = am._breakpoints(
+            values, ((1.0, 4.0), (0.0, 1.0)), ((1.0, 4.0), (1.0,)))
+        assert e_points.tolist() == [1.0, 4.0]
+        assert phi_points.tolist() == [1.0]
 
 
 class TestEfficiency:
