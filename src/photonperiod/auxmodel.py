@@ -480,22 +480,28 @@ def _weight_theta(theta):
     return max(theta, _THETA_FLOOR)
 
 
+def _check_support(fs, fb):
+    """Reject observations where f_S and f_B both vanish."""
+    if np.any((fs <= 0) & (fb <= 0)):
+        raise ValueError("z outside support of both densities")
+
+
 def _posterior(theta, fs, fb):
-    """theta f_S / ((1 - theta) f_B + theta f_S), the source probability.
+    """theta f_S / ((1 - theta) f_B + theta f_S), the source probability,
+    where f_S and f_B have passed _check_support.
 
     0 where f_S = 0 < f_B, which at theta = 1 is the limit of a 0 / 0.
     """
-    fs, fb = np.asarray(fs, dtype=float), np.asarray(fb, dtype=float)
-    if np.any((fs <= 0) & (fb <= 0)):
-        raise ValueError("z outside support of both densities")
     return theta * fs / np.where(fs > 0, (1.0 - theta) * fb + theta * fs, 1.0)
 
 
 def optimal_weight(z, theta, densities):
     """Posterior probability that an event at z = (E, phi) is from the source."""
     e, phi = z
-    out = _posterior(theta, densities.pdf_source(e, phi),
-                     densities.pdf_background(e, phi))
+    fs = np.asarray(densities.pdf_source(e, phi), dtype=float)
+    fb = np.asarray(densities.pdf_background(e, phi), dtype=float)
+    _check_support(fs, fb)
+    out = _posterior(theta, fs, fb)
     return out if np.ndim(out) else float(out)
 
 
@@ -511,8 +517,10 @@ def optimal_no_spectrum_fn(theta, densities):
     theta = _weight_theta(theta)
 
     def fn(e, phi):
-        return _posterior(theta, densities.source_angle.pdf(phi, e),
-                          densities.background_angle.pdf(phi, e))
+        fs = np.asarray(densities.source_angle.pdf(phi, e), dtype=float)
+        fb = np.asarray(densities.background_angle.pdf(phi, e), dtype=float)
+        _check_support(fs, fb)
+        return _posterior(theta, fs, fb)
 
     return WeightFunction(fn)
 

@@ -1,12 +1,13 @@
 """Weighted Fourier statistics, the Q_T detection statistic, and p-values.
 
 The statistic Q_T = (1/T) sum_{n != 0} |alpha_n|^2 |A_n|^2 with
-A_n = sum_j w_j exp(2 pi i n phi(t_j)), one exponential per event and z^n by
-recurrence (lightcurve._harmonic_sums), over fixed blocks of 2^16 events
-(fourier_coefficients, with its rounding bound) summed on every CPU the
-process may use, with bits that do not depend on how many.  A_n and
-sum_j w_j^2, a pairwise sum, are summed with the events in one canonical
-(t, w) order, so no permutation of the events changes a bit of either.  Under
+A_n = sum_j w_j exp(2 pi i n phi(t_j)), one unit phasor per event
+(lightcurve._unit_phasors) and z^n by recurrence (lightcurve._harmonic_sums),
+over fixed blocks of 2^16 events (fourier_coefficients, with its rounding
+bound) summed on every CPU the process may use, with bits that do not depend
+on how many.  A_n and sum_j w_j^2, a pairwise sum, are summed with the events
+in one canonical (t, w) order, so no permutation of the events changes a bit
+of either.  Under
 the null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
 chi-square(2) and the A_n are approximately independent, so Q_T T is a
 weighted sum of independent chi-square(2) variables with coefficients
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxmodel import _posterior, _weight_theta
+from .auxmodel import _check_support, _posterior, _weight_theta
 from .lightcurve import (_harmonic_sums, _times_and_weights, _unit_phasors,
                          eval_profile, phase_of)
 
@@ -149,10 +150,10 @@ def fourier_coefficients(events, weights, model, m):
 
     The events are summed in (t, w) order, so that no permutation of them
     changes a bit, over fixed blocks of B = 2^16 events (_map_blocks).  Each
-    block's sum is within (23 n + 2 log2 B + 20) u of its sum_j w_j
+    block's sum is within (9 n + 2 log2 B + 20) u of its sum_j w_j
     (lightcurve._harmonic_sums), and adding the ceil(N / B) block sums in
     turn adds at most (N / B + 1) u sum_j w_j, so A_n is within
-    (23 n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at the
+    (9 n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at the
     rounded phases.
     """
     if m < 1:
@@ -206,68 +207,131 @@ def estimate_theta(z_values, densities, tol=1e-8):
     is concave, so its score sum_j d_j / D_j decreases in theta: the MLE is 0
     where the score at 0 is <= 0, 1 where the score at 1 is >= 0, and
     otherwise the score's root.  The root is found by Newton's method, with
-    Hessian -sum_j (d_j / D_j)^2, from theta = 1/2 inside a sign bracket.  The
-    bracket is bisected instead where a Newton step would leave it, or where
-    the Newton step before did not halve |score|; so, but for the first step
-    after each bisection, every step halves the bracket or |score|.  A Newton
-    step shorter than tol / 2 is stretched to tol / 2, which closes the
-    bracket once Newton has converged.  The result is the Newton estimate
-    from the last point if it lies in the final bracket, narrower than tol,
-    or else the bracket's midpoint.
+    Hessian -sum_j (d_j / D_j)^2, inside a sign bracket.  It starts from the
+    MLE of every 64th observation, found the same way to 1e-4, when there
+    are at least 4096 observations and f_S and f_B differ on those; else
+    from 1/2.  The score at 0 or 1 is evaluated only where an iterate would
+    leave the bracket through that end, or the bracket closes against it.
+    The bracket is bisected instead where a Newton step would leave it
+    through an evaluated end, or where the Newton step before did not halve
+    |score|; so, but for the first step after each bisection, every step
+    halves the bracket or |score|.  A Newton step shorter than tol / 2 is
+    stretched to tol / 2, which closes the bracket once Newton has
+    converged.  The result is the Newton estimate from the last point if it
+    lies in the final bracket, whose ends are both evaluated and narrower
+    than tol, or else the bracket's midpoint.
     """
     return _theta_mle(*_densities_at(z_values, densities), tol)
 
 
 def _densities_at(z_values, densities):
-    """f_S and f_B at the observations: events or an (e, phi) pair."""
+    """f_S and f_B at the observations, events or an (e, phi) pair, as 1-D
+    arrays.
+
+    The density callables are called on the fixed _AN_BLOCK-event slices of
+    the observations, from worker threads where several CPUs are free
+    (_map_blocks): they must be elementwise and thread-safe.
+    """
     e, phi = z_values.z if hasattr(z_values, "z") else z_values
-    return (np.asarray(densities.pdf_source(e, phi), dtype=float),
-            np.asarray(densities.pdf_background(e, phi), dtype=float))
+    e = np.asarray(e, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    fs, fb = np.empty(e.size), np.empty(e.size)
+
+    def block(_, b):
+        fs[b] = densities.pdf_source(e[b], phi[b])
+        fb[b] = densities.pdf_background(e[b], phi[b])
+
+    _map_blocks(block, e.size)
+    return fs, fb
+
+
+def _identifiable(diff, fb):
+    """Whether f_S = f_B + diff differs from f_B by more than 1e-12 relative
+    at some observation (np.allclose's test), block by block: most data
+    answer in the first block."""
+    for start in range(0, diff.size, _AN_BLOCK):
+        b = slice(start, start + _AN_BLOCK)
+        if not np.all(np.abs(diff[b]) <= 1e-12 * np.abs(fb[b])):
+            return True
+    return False
+
+
+def _score(diff, fb, theta, buf):
+    """The score sum_j d_j / D_j at theta and its Newton step, score /
+    sum_j (d_j / D_j)^2: one pass over the observations, D and d / D formed
+    per _AN_BLOCK-event block in buf."""
+    s = h = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, diff.size, _AN_BLOCK):
+            d = diff[start:start + _AN_BLOCK]
+            r = buf[:d.size]
+            np.multiply(d, theta, out=r)
+            r += fb[start:start + _AN_BLOCK]  # D
+            np.divide(d, r, out=r)
+            s += np.sum(r)
+            h += r @ r
+        return s, s / h
+
+
+# The theta MLE starts from the MLE of every _SUBSAMPLE-th observation, found
+# to _START_TOL, where there are at least _SUBSAMPLE_MIN observations.
+_SUBSAMPLE = 64
+_SUBSAMPLE_MIN = 4096
+_START_TOL = 1e-4
 
 
 def _theta_mle(fs, fb, tol=1e-8):
     """estimate_theta from f_S and f_B at the observations."""
     if fs.size == 0:
         raise ValueError("no observations")
-    if np.any((fs <= 0) & (fb <= 0)):
-        raise ValueError("z outside support of both densities")
-    if np.allclose(fs, fb, rtol=1e-12, atol=0):
-        raise ValueError("theta not identifiable: f_S = f_B at every observation")
-
+    _check_support(fs, fb)
     diff = fs - fb
+    if not _identifiable(diff, fb):
+        raise ValueError("theta not identifiable: f_S = f_B at every observation")
+    buf = np.empty(min(diff.size, _AN_BLOCK))
+    start = 0.5
+    if diff.size >= _SUBSAMPLE_MIN:
+        sub_diff = np.ascontiguousarray(diff[::_SUBSAMPLE])
+        sub_fb = np.ascontiguousarray(fb[::_SUBSAMPLE])
+        if _identifiable(sub_diff, sub_fb):
+            start = _newton(sub_diff, sub_fb, start, _START_TOL, buf)
+    return _newton(diff, fb, start, tol, buf)
 
-    def score(theta):
-        """The score and its Newton step, score / -Hessian."""
-        r = diff * theta
-        r += fb  # D, in place: no temporaries
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(diff, r, out=r)
-            s = np.sum(r)
-            return s, s / (r @ r)
 
-    if score(0.0)[0] <= 0:
-        return 0.0
-    if score(1.0)[0] >= 0:
-        return 1.0
-    lo, hi = 0.0, 1.0  # score(lo) > 0 > score(hi)
-    theta, bound = 0.5, np.inf
+def _newton(diff, fb, theta, tol, buf):
+    """The score's root in [0, 1] from theta, or the end where the score
+    does not change sign (estimate_theta)."""
+    lo, hi = 0.0, 1.0  # score(lo) > 0 > score(hi) where evaluated
+    lo_seen = hi_seen = False
+    bound = np.inf
     while True:
-        s, newton = score(theta)
+        s, newton = _score(diff, fb, theta, buf)
         if s > 0:
-            lo = theta
+            if theta == 1.0:
+                return 1.0
+            lo, lo_seen = theta, True
         elif s < 0:
-            hi = theta
+            if theta == 0.0:
+                return 0.0
+            hi, hi_seen = theta, True
         else:
             return float(theta)
+        step = theta + newton
         if hi - lo < tol:
-            estimate = theta + newton
-            return float(estimate if lo <= estimate <= hi else 0.5 * (lo + hi))
-        # theta is lo or hi; the test fails on a nan or infinite step too
-        if lo < theta + newton < hi and abs(s) <= bound:
+            if lo_seen and hi_seen:
+                return float(step if lo <= step <= hi else 0.5 * (lo + hi))
+            # an end the bracket closed against: evaluate it
+            theta, bound = (hi if lo_seen else lo), np.inf
+        # theta is lo or hi; the tests fail on a nan or infinite step too
+        elif lo < step < hi and abs(s) <= bound:
             bound = 0.5 * abs(s)
             # a step shorter than tol / 2 is stretched to tol / 2, past the
             # root if Newton is right, so that the bracket closes
             theta += math.copysign(max(abs(newton), 0.5 * tol), newton)
+        elif step <= lo and not lo_seen:
+            theta, bound = lo, np.inf
+        elif step >= hi and not hi_seen:
+            theta, bound = hi, np.inf
         else:
             theta, bound = 0.5 * (lo + hi), np.inf
 
@@ -430,8 +494,18 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
             raise ValueError("optimal weights need theta (or its MLE) and densities")
         # one evaluation of both densities serves the MLE and the weights
         fs, fb = _densities_at(events, densities)
-        theta_used = _theta_mle(fs, fb) if theta is None else float(theta)
-        w = _posterior(_weight_theta(theta_used), fs, fb)
+        if theta is None:
+            theta_used = _theta_mle(fs, fb)  # checks the support
+        else:
+            _check_support(fs, fb)
+            theta_used = float(theta)
+        w = np.empty_like(fs)
+        w_theta = _weight_theta(theta_used)
+
+        def weights(_, b):
+            w[b] = _posterior(w_theta, fs[b], fb[b])
+
+        _map_blocks(weights, w.size)
         del fs, fb
     else:
         if theta is not None:

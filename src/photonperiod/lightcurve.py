@@ -6,6 +6,8 @@ harmonics carries a factor of two.
 """
 
 import json
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,20 +167,113 @@ def _times_and_weights(events, weights):
     return times, w
 
 
+# pi = _PI_HI + _PI_LO: _PI_HI is pi to 33 bits, so k _PI_HI is exact for
+# k < 2^20, and _PI_LO (math.pi's remainder plus pi - math.pi) is within
+# 1e-25 of the rest
+_PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
+_PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
+# Table points per cycle of _unit_phasors, and phases per scratch chunk.
+_TABLE_SIZE = 1024
+_CHUNK = 1 << 14
+
+
+def _phasor_table():
+    """e^{2 pi i k / 1024} for k = 0..1024, as (real parts, imaginary parts).
+
+    The angle k pi / 512 is hi + lo with hi = k _PI_HI / 512 exact; cos and
+    sin at hi, corrected to second order in lo (|lo| < 3e-10), are taken in
+    long double.  Where long double has a 64-bit mantissa (x86-64) each part
+    is within 0.5 u + 2^-11 u of exact, u = 2^-53; where it is double,
+    within 1 u.
+    """
+    k = np.arange(_TABLE_SIZE + 1, dtype=np.longdouble)
+    hi = k * np.longdouble(_PI_HI / 512)
+    lo = k * np.longdouble(_PI_LO / 512)
+    c, s = np.cos(hi), np.sin(hi)
+    return ((c - (s * lo + 0.5 * c * lo * lo)).astype(float),
+            (s + (c * lo - 0.5 * s * lo * lo)).astype(float))
+
+
+_TABLE_RE, _TABLE_IM = _phasor_table()
+_scratch = threading.local()
+
+
+def _phasor_chunk(phase, re, im):
+    """e^{2 pi i phase} into re and im, for at most _CHUNK phases.
+
+    x = phase - floor(phase) is phase % 1.0 bit for bit, in [0, 1].  With
+    k = rint(1024 x) and r = 1024 x - k, exact in [-1/2, 1/2], the phasor is
+    T_k (1 + (cos t - 1) + i sin t), t = 2 pi r / 1024, where T_k is the
+    table's and cos t - 1 and sin t are Taylor polynomials of degree 4 and
+    5 (|t| <= pi / 1024: remainders below 2e-18).  The correction terms are
+    below 4e-3 of T_k, so their rounding adds under 0.02 u, and each part
+    ends in one rounded addition: each part is within 1.1 u of e^{2 pi i x},
+    and the phasor within 2 u.  x is exact but for a phase in (-1/2, 0),
+    where it rounds by up to u / 2, which adds up to pi u.  The intermediates
+    live in this thread's scratch, kept for its later calls: fresh arrays
+    here would cost a page fault per 4 KB.
+    """
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None:
+        bufs = _scratch.bufs = (np.empty((4, _CHUNK)),
+                                np.empty(_CHUNK, dtype=np.intp))
+    n = phase.size
+    a, b, c, d = bufs[0][:, :n]
+    k = bufs[1][:n]
+    np.floor(phase, out=a)
+    np.subtract(phase, a, out=a)
+    np.multiply(a, _TABLE_SIZE, out=a)
+    np.rint(a, out=b)
+    np.copyto(k, b, casting="unsafe")
+    np.subtract(a, b, out=a)                 # r
+    np.multiply(a, 2.0 * math.pi / _TABLE_SIZE, out=a)   # t
+    np.multiply(a, a, out=b)
+    np.multiply(b, 1.0 / 120.0, out=c)
+    c -= 1.0 / 6.0
+    c *= b
+    c *= a
+    c += a                                   # sin t
+    np.multiply(b, 1.0 / 24.0, out=a)
+    a -= 0.5
+    a *= b                                   # cos t - 1
+    # a nan phase casts to an index out of range: clipped, its phasor is nan
+    np.take(_TABLE_RE, k, out=b, mode="clip")
+    np.take(_TABLE_IM, k, out=d, mode="clip")
+    # Re: Re T_k + (Re T_k (cos t - 1) - Im T_k sin t)
+    np.multiply(b, a, out=re)
+    np.multiply(d, c, out=im)
+    re -= im
+    re += b
+    # Im: Im T_k + (Im T_k (cos t - 1) + Re T_k sin t)
+    a *= d
+    c *= b
+    np.add(a, c, out=im)
+    im += d
+
+
 def _unit_phasors(phase):
-    """e^{2 pi i phase}, reduced mod 1 first so no angle error grows with it."""
-    z = 2j * np.pi * (phase % 1.0)
-    return np.exp(z, out=z)
+    """e^{2 pi i phase}, reduced mod 1 first so no angle error grows with
+    it: within 2 u (u = 2^-53) of e^{2 pi i phase} at the rounded phase,
+    and within 6 u for a phase in (-1/2, 0) (_phasor_chunk)."""
+    phase = np.asarray(phase, dtype=float)
+    z = np.empty(phase.shape, dtype=complex)
+    flat, out = phase.reshape(-1), z.reshape(-1)
+    with np.errstate(invalid="ignore"):  # nan at a nan or infinite phase
+        for start in range(0, flat.size, _CHUNK):
+            chunk = out[start:start + _CHUNK]
+            _phasor_chunk(flat[start:start + _CHUNK], chunk.real, chunk.imag)
+    return z
 
 
 def _harmonic_sums(w, z, m):
     """sum_j w_j z_j^n for n = 1..m, z unit phasors, by the recurrence z^n.
 
-    u = 2^-53.  A phasor from _unit_phasors is within 20 u of e^{2 pi i phi}
-    at its rounded phase, so z^n is within 20 n u; w z and each multiply add
-    3 u (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5);
-    numpy's blocked pairwise sum adds (2 log2 N + 20) u sum_j w_j (section
-    4.2).  So A_n is within (23 n + 2 log2 N + 20) u sum_j w_j of exact.
+    u = 2^-53.  A phasor from _unit_phasors is within 6 u of e^{2 pi i phi}
+    at its rounded phase (2 u but for phases in (-1/2, 0)), so z^n is within
+    6 n u; w z and each multiply add 3 u (Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.5); numpy's blocked pairwise sum adds
+    (2 log2 N + 20) u sum_j w_j (section 4.2).  So A_n is within
+    (9 n + 2 log2 N + 20) u sum_j w_j of exact.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -10,9 +10,9 @@ e^{2 pi i step (t_j - epoch)} from one grid point to the next; A_n comes from
 the recurrence z^n (lightcurve._harmonic_sums).  The events are summed over
 detect's fixed blocks of B = 2^16 events (detector._map_blocks, one task per
 fdot row and block, on every CPU the process may use), and the block sums
-added in block order.  Rotating adds at most 30 u (u = 2^-53) a step while
+added in block order.  Rotating adds at most 16 u (u = 2^-53) a step while
 step |t - epoch| <= 1, so at the k-th point of a row A_n is within
-((23 + 30 k) n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of the exact sum
+((9 + 16 k) n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of the exact sum
 at the row's first phase plus k step (t - epoch).
 
 The events are summed in detect's canonical (t, w) order and blocks, and

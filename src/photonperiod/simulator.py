@@ -46,9 +46,11 @@ def sensitivity_ramp(c0, c1, T):
 
 
 def sensitivity_window(t_on, t_off, level=1.0):
+    """level on [t_on, t_off), 0 elsewhere; c.edges = (t_on, t_off)."""
     def c(t):
         t = np.asarray(t, dtype=float)
         return np.where((t >= t_on) & (t < t_off), level, 0.0)
+    c.edges = (t_on, t_off)
     return c
 
 
@@ -171,7 +173,12 @@ def simulate(model, densities, tau=0.0, seed=0):
 
 
 def expected_count(model):
-    """mu * integral of c(t) over [0, T]; exact when c is constant."""
+    """mu * integral of c(t) over [0, T]; exact when c is constant.
+
+    A sensitivity's edges attribute, as sensitivity_window sets it, lists its
+    jumps: the quadrature splits there, so no jump hides between its nodes.
+    """
     if model.sensitivity is None:
         return model.mu * model.T
-    return model.mu * float(_integral(model.c, 0.0, model.T))
+    edges = getattr(model.sensitivity, "edges", ())
+    return model.mu * float(_integral(model.c, 0.0, model.T, points=edges))

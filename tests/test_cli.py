@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import photonperiod
-from photonperiod import detect, estimate_theta, read_events, scan, write_events
+from photonperiod import (detect, detector, estimate_theta, read_events, scan,
+                          write_events)
 from photonperiod.auxmodel import (custom_weight, optimal_no_spectrum_fn,
                                    optimal_weight_fn)
 from photonperiod.cli import main
@@ -244,6 +245,32 @@ class TestOnePipeline:
         w = optimal_weight_fn(0.0, dens)(*ev.z)
         res = scan(ev, w, config.template(), 100.0, config.scan_spec(100.0))
         assert json.loads(out) == res.best
+
+    def test_theta_mle_of_zero_in_four_score_passes(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """test_theta_mle_of_zero's file: detect finds its MLE of 0 in at
+        most 4 score passes over the events."""
+        doc = base_config(weight={"kind": "optimal"})
+        doc["model"]["theta"] = 0.0
+        doc["densities"]["geometry"]["rho"] = 0.159155
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events, "--seed", "2"])
+        n = len(read_events(events)[0])
+        passes = []
+        score = detector._score
+
+        def counted(diff, fb, theta, buf):
+            if diff.size == n:
+                passes.append(theta)
+            return score(diff, fb, theta, buf)
+
+        monkeypatch.setattr(detector, "_score", counted)
+        code, out, err = run(capsys, ["detect", "--config", cfg,
+                                      "--events", events])
+        assert code == 0, err
+        assert json.loads(out)["theta_used"] == 0.0
+        assert 1 <= len(passes) <= 4
 
 
 class TestScanCommand:

@@ -299,6 +299,92 @@ class TestEstimateTheta:
         assert abs(theta_hat - want) < 1e-12
 
 
+class Ratios:  # z = (f_S, f_B)
+    def pdf_source(self, e, phi):
+        return np.asarray(e, float)
+
+    def pdf_background(self, e, phi):
+        return np.asarray(phi, float)
+
+
+def _score_root(fs, fb):
+    def score(theta):
+        return math.fsum((fs - fb) / ((1.0 - theta) * fb + theta * fs))
+
+    return brentq(score, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+
+
+def _disc_sample(n, theta, seed):
+    """f_S and f_B at n events drawn from DENS, a theta share from the
+    source."""
+    rng = np.random.default_rng(seed)
+    is_src = rng.uniform(size=n) < theta
+    e, phi = np.empty(n), np.empty(n)
+    e[is_src], phi[is_src] = DENS.sample_source(rng, int(is_src.sum()))
+    e[~is_src], phi[~is_src] = DENS.sample_background(rng, int(n - is_src.sum()))
+    return DENS.pdf_source(e, phi), DENS.pdf_background(e, phi)
+
+
+@pytest.fixture
+def score_passes(monkeypatch):
+    """score_passes(n): a list that gets the theta of each score pass over
+    all n observations."""
+    def count(n):
+        passes = []
+        score = detector._score
+
+        def counted(diff, fb, theta, buf):
+            if diff.size == n:
+                passes.append(theta)
+            return score(diff, fb, theta, buf)
+
+        monkeypatch.setattr(detector, "_score", counted)
+        return passes
+
+    return count
+
+
+class TestThetaPasses:
+    def test_interior_mle_in_five_passes(self, score_passes):
+        fs, fb = _disc_sample(200_000, 0.1, seed=21)
+        passes = score_passes(fs.size)
+        theta = estimate_theta((fs, fb), Ratios())
+        assert len(passes) <= 5
+        assert abs(theta - _score_root(fs, fb)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 200_000])
+    @pytest.mark.parametrize("mle", [0.0, 1.0])
+    def test_boundary_mle_in_four_passes(self, score_passes, mle, n):
+        # f_S / f_B uniform on [0, 1.9]: the score at 0, sum (f_S / f_B - 1),
+        # is about -0.05 n.  Swapping f_S and f_B puts the MLE at 1.
+        rng = np.random.default_rng(22)
+        ratio = rng.uniform(0.0, 1.9, n)
+        fb = rng.uniform(0.5, 2.0, n)
+        z = (ratio * fb, fb) if mle == 0.0 else (fb, ratio * fb)
+        passes = score_passes(n)
+        assert estimate_theta(z, Ratios()) == mle
+        assert len(passes) <= 4
+
+    def test_permuted_events_agree_with_the_score_root(self):
+        fs, fb = _disc_sample(20_000, 0.3, seed=23)
+        root = _score_root(fs, fb)
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            order = rng.permutation(fs.size)
+            theta = estimate_theta((fs[order], fb[order]), Ratios())
+            assert abs(theta - root) < 1e-12
+
+    def test_degenerate_subsample_starts_at_one_half(self, score_passes):
+        """f_S = f_B on every 64th event: the subsample says nothing about
+        theta, so the full data start from 1/2."""
+        fs, fb = _disc_sample(10_000, 0.3, seed=25)
+        fs[::64] = fb[::64]
+        passes = score_passes(fs.size)
+        theta = estimate_theta((fs, fb), Ratios())
+        assert passes[0] == 0.5
+        assert abs(theta - _score_root(fs, fb)) < 1e-12
+
+
 def _partial_fraction_sf(q, lam):
     """Survival function of sum lam_i X_i, X_i iid chi2(2), distinct lam_i."""
     lam = np.asarray(lam, dtype=float)

@@ -1,3 +1,7 @@
+import sys
+import threading
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,9 @@ from photonperiod import (
     simulate,
     template_efficiency,
 )
+from photonperiod import lightcurve
 from photonperiod.auxmodel import DiskGeometry
+from photonperiod.lightcurve import _unit_phasors
 
 
 def single_harmonic(gamma=0.5, eta=1.0):
@@ -169,3 +175,106 @@ class TestSerialization:
         again = LightCurveProfile.from_json(prof.to_json())
         assert np.array_equal(again.coeffs, prof.coeffs)
         assert again.eta == prof.eta
+
+
+def _edge_phases():
+    """Phases at the kernel's edges: signed zeros, a tiny negative phase,
+    the last double below 1, table points and their neighbours, midpoints
+    between table points and large phases with fractions."""
+    k = np.arange(1025) / 1024
+    big = np.array([1e10, -1e10])[:, None] + np.array([0.0, 0.25, 0.3, 0.5,
+                                                       0.7, 0.999])
+    return np.concatenate([
+        [0.0, -0.0, -1e-20, 1.0 - 2.0**-53, -0.5, -0.3, -2.0**-60],
+        k, np.nextafter(k, 2.0), np.nextafter(k, -1.0),
+        (np.arange(1024) + 0.5) / 1024, big.ravel()])
+
+
+def _mp_phasor_errors(phase):
+    """|_unit_phasors(phase) - e^{2 pi i phase}| / u, the oracle at 100
+    digits and the exact double phase."""
+    u = 2.0**-53
+    z = _unit_phasors(phase)
+    with mpmath.workdps(100):
+        return np.array([
+            float(abs(mpmath.mpc(zj.real, zj.imag)
+                      - mpmath.expjpi(2 * mpmath.mpf(float(p))))) / u
+            for zj, p in zip(z, phase)])
+
+
+class TestUnitPhasors:
+    def test_within_two_u_of_mpmath(self):
+        """Within 2 u of e^{2 pi i phase}, and 6 u for a phase in (-1/2, 0),
+        where phase % 1.0 rounds."""
+        rng = np.random.default_rng(31)
+        phase = np.concatenate([rng.uniform(0.0, 1.0, 4000),
+                                rng.uniform(-1.0, 1.0, 2000),
+                                rng.uniform(-1e6, 1e6, 4000),
+                                _edge_phases()])
+        errors = _mp_phasor_errors(phase)
+        rounds = (phase > -0.5) & (phase < 0)
+        assert errors[~rounds].max() <= 2.0
+        assert errors[rounds].max() <= 6.0
+
+    def test_table_within_half_an_ulp(self):
+        """Each part of the 1025-point table within 0.5 u + 2^-11 u of
+        exact where long double has a 64-bit mantissa, else 1 u."""
+        u = 2.0**-53
+        bound = 0.5 + 2.0**-11 if np.finfo(np.longdouble).nmant >= 63 else 1.0
+        with mpmath.workdps(100):
+            for k in range(1025):
+                exact = mpmath.expjpi(mpmath.mpf(k) / 512)
+                assert abs(lightcurve._TABLE_RE[k] - exact.real) <= bound * u
+                assert abs(lightcurve._TABLE_IM[k] - exact.imag) <= bound * u
+
+    def test_reduction_is_mod_one_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        phase = np.concatenate([_edge_phases(), rng.uniform(-1e6, 1e6, 1000),
+                                rng.uniform(-1.0, 1.0, 1000),
+                                -1e-300 * rng.uniform(size=10),
+                                [2.0**60, -2.0**60, 1e300, -1e300]])
+        reduced = phase - np.floor(phase)
+        assert np.array_equal(reduced.view(np.int64), (phase % 1.0).view(np.int64))
+
+    def test_non_finite_phase_gives_nan(self):
+        z = _unit_phasors(np.array([np.nan, np.inf, -np.inf, 0.25]))
+        assert np.isnan(z[:3]).all()
+        assert z[3] == pytest.approx(1j, abs=1e-26)
+
+    def test_elementwise_across_chunks_and_shapes(self):
+        """Bits of a phasor depend on its phase alone: not on the chunk it
+        falls in, the array's length or shape."""
+        rng = np.random.default_rng(33)
+        phase = rng.uniform(-1e4, 1e4, 3 * lightcurve._CHUNK + 5)
+        whole = _unit_phasors(phase)
+        parts = np.concatenate([_unit_phasors(phase[i:i + 1000])
+                                for i in range(0, phase.size, 1000)])
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(_unit_phasors(phase[:6].reshape(2, 3)),
+                              whole[:6].reshape(2, 3))
+        assert _unit_phasors(phase[7]) == whole[7]
+
+    def test_threads_share_no_scratch(self):
+        """Many threads at once, each with its own phases, get the serial
+        bits: no thread writes into another's scratch."""
+        rng = np.random.default_rng(34)
+        phases = [rng.uniform(-1e3, 1e3, 2 * lightcurve._CHUNK + 17)
+                  for _ in range(8)]
+        want = [_unit_phasors(p) for p in phases]
+        same = [None] * len(phases)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run(i):
+                same[i] = all(np.array_equal(_unit_phasors(phases[i]), want[i])
+                              for _ in range(5))
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(phases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same)

@@ -46,6 +46,13 @@ class TestExpectedCount:
         m = make_model(10.0, 0.0, 100.0, sensitivity=sensitivity_window(13.7, 61.3))
         assert expected_count(m) == pytest.approx(10.0 * (61.3 - 13.7), rel=1e-9)
 
+    @pytest.mark.parametrize("window", [(0.0, 9.99), (0.01, 10.0)])
+    def test_window_edge_in_an_end_gap(self, window):
+        """An edge 1e-3 of T from an end of [0, T], outside the outermost
+        Kronrod node of one interval, is found from the window's edges."""
+        m = make_model(100.0, 0.0, 10.0, sensitivity=sensitivity_window(*window))
+        assert expected_count(m) == pytest.approx(999.0, rel=1e-9)
+
     def test_mu0_time_average(self):
         m = make_model(10.0, 0.0, 20.0, sensitivity=sensitivity_ramp(0.5, 1.5, 20.0))
         assert m.mu0 == pytest.approx(10.0, rel=1e-8)
