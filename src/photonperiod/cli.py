@@ -7,6 +7,7 @@ output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +25,7 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
+@functools.cache  # built once a process: a parse leaves it as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="photonperiod",

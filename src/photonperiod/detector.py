@@ -25,6 +25,7 @@ import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,27 +66,46 @@ class DetectionResult:
         )
 
 
+# Events per block of the A_n sum: block edges depend on N alone.
+_AN_BLOCK = 1 << 16
+
+
+class _Canonical(NamedTuple):
+    """Event times and checked weights in _canonical's (t, w) order.
+    fourier_coefficients takes one as its events, with its w as the
+    weights, without checking or ordering them again."""
+    t: np.ndarray
+    w: np.ndarray
+
+
 def _canonical(times, w):
     """Times and weights sorted by time, ties by weight: the order in which
     A_n and sum w^2 are summed, so that no permutation of the events changes
-    a bit of either.  Input already in that order is returned as it is;
-    input in time order gets new arrays with only its tied runs reordered."""
-    dt = np.diff(times)
-    if np.all(dt >= 0):  # false on a nan
-        tie = np.flatnonzero(dt == 0)
-        if np.all(w[tie + 1] >= w[tie]):
-            return times, w
-        # equal times are adjacent: order the events of tied runs by
-        # (t, w), stably, as the full sort would, and leave the rest
-        runs = np.union1d(tie, tie + 1)
-        w = w.copy()
-        w[runs] = w[runs[np.lexsort((w[runs], times[runs]))]]
-        return times.copy(), w
-    del dt
-    tw = np.empty(times.shape, dtype=complex)
-    tw.real, tw.imag = times, w
-    tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
-    return tw.real, tw.imag
+    a bit of either.  w must be _times_and_weights's.  Input already in that
+    order is returned as it is; input in time order keeps its times, with a
+    copy of w whose tied runs alone are reordered (equal times do not show
+    which of them moved).  The order and the ties are found block by block
+    of _AN_BLOCK events."""
+    ties, ordered = [], True
+    for start in range(0, times.size - 1, _AN_BLOCK):
+        t = times[start:start + _AN_BLOCK + 1]  # each adjacent pair once
+        if not np.all(t[1:] >= t[:-1]):  # false on a nan
+            tw = np.empty(times.shape, dtype=complex)
+            tw.real, tw.imag = times, w
+            tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
+            return _Canonical(tw.real, tw.imag)
+        tie = start + np.flatnonzero(t[1:] == t[:-1])
+        ordered = ordered and np.all(w[tie + 1] >= w[tie])
+        ties.append(tie)
+    if ordered:
+        return _Canonical(times, w)
+    # equal times are adjacent: order the events of tied runs by (t, w),
+    # stably, as the full sort would, and leave the rest
+    tie = np.concatenate(ties)
+    runs = np.union1d(tie, tie + 1)
+    w = w.copy()
+    w[runs] = w[runs[np.lexsort((w[runs], times[runs]))]]
+    return _Canonical(times, w)
 
 
 def _sum_w2(w):
@@ -94,10 +114,6 @@ def _sum_w2(w):
     Stability of Numerical Algorithms, section 4.2).  Its bits depend on the
     order of w: pass it in _canonical's."""
     return float(np.sum(np.square(w)))
-
-
-# Events per block of the A_n sum: block edges depend on N alone.
-_AN_BLOCK = 1 << 16
 
 
 def _cpus():
@@ -158,7 +174,10 @@ def fourier_coefficients(events, weights, model, m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    times, w = _canonical(*_times_and_weights(events, weights))
+    if isinstance(events, _Canonical) and weights is events.w:
+        times, w = events  # detect's: checked and in (t, w) order
+    else:
+        times, w = _canonical(*_times_and_weights(events, weights))
 
     def block_sums(_, block):
         phasors = _unit_phasors(phase_of(model, times[block]))
@@ -516,13 +535,13 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
             theta_used = float("nan")
         w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
 
-    # sorted once: fourier_coefficients finds them in order
-    times, w = _canonical(*_times_and_weights(events, w))
-    sum_w2 = _sum_w2(w)
+    # checked and sorted once: fourier_coefficients takes them as they are
+    ordered = _canonical(*_times_and_weights(events, w))
+    sum_w2 = _sum_w2(ordered.w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")
 
-    an = fourier_coefficients(times, w, model, template.m)
+    an = fourier_coefficients(ordered, ordered.w, model, template.m)
     qt = qt_statistic(an, template, T)
     p = p_value(qt, sum_w2, template, T)
     return DetectionResult(

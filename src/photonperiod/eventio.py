@@ -12,12 +12,16 @@ line-by-line parser bit for bit or declines the file.
    a digit wherever it has a digit and its byte everywhere else (so no
    carriage return, sign, exponent, space, comment or blank line).  The rows
    are parsed in place over the fixed 2^16-row blocks of
-   `detector._map_blocks`, each block read by its own positioned read.  A
-   field is its digits as an integer M < 10^15, built by Horner steps in
-   float64 (exact below 2^53), divided by 10^k for its k fraction digits,
-   which is exact for k <= 22.  By Clinger's condition (both operands exact,
-   one correctly rounded division) that is the double nearest the decimal,
-   the value `float` gives.
+   `detector._map_blocks`, each block read by positioned reads of 2^15 rows,
+   as 8-byte words (`_RowWords`): every byte is checked against the first
+   row's layout by word-wide masks, and each run of at most 8 consecutive
+   digits becomes its integer by three SWAR multiply-shift-mask steps.  A
+   field's runs join into its digits as an integer M < 10^15, exact in a
+   double (below 2^53), divided by 10^k for its k fraction digits, which is
+   exact for k <= 22.  By Clinger's condition (both operands exact, one
+   correctly rounded division) that is the double nearest the decimal, the
+   value `float` gives.  So each value is finite and >= 0, and
+   `read_events` does not check these columns again.
 2. `np.loadtxt` is handed the path, skipping the lines up to and including
    the header, after one search of the raw bytes for the characters on which
    numpy and `float` disagree.  It reads the files `write_events` writes
@@ -31,6 +35,7 @@ The three accept exactly the same files.
 """
 
 import os
+import threading
 import warnings
 from functools import partial
 
@@ -47,8 +52,12 @@ _COLUMNS = ("time", "energy", "angle")
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # np.loadtxt decompresses a path with one of these suffixes; open() does not.
 _NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
-# Digits of an aligned field: below 10^15 every Horner step is exact.
+# Digits of an aligned field: its integer is below 10^15 < 2^53, exact in
+# a double.
 _MAX_DIGITS = 15
+# Rows of an aligned file per positioned read, half a _map_blocks block: a
+# thread's scratch for them is 5 MB for rows of three fields in 32 bytes.
+_READ_ROWS = 1 << 15
 
 
 def write_events(path, events, weights=None, header_comment=None):
@@ -67,10 +76,16 @@ def write_events(path, events, weights=None, header_comment=None):
 
 def read_events(path):
     """Parse an event CSV.  Returns (EventList, weights-or-None), rows in
-    stable time order, every column contiguous."""
-    columns = (_read_columns_aligned(path) or _read_columns_fast(path)
-               or _read_columns(path))
-    _check_values(path, columns)
+    stable time order, every column contiguous.
+
+    Values must be finite, and energies and angles >= 0 (_check_values).
+    The column-aligned reader's columns are not checked: a field of at most
+    15 digits and one dot is finite and >= 0, so the check cannot fail on
+    them."""
+    columns = _read_columns_aligned(path)
+    if columns is None:
+        columns = _read_columns_fast(path) or _read_columns(path)
+        _check_values(path, columns)
     t = columns["time"]  # finite here: no NaN can pass an unsorted pair
     if np.all(t[1:] >= t[:-1]):  # already sorted: no gathers
         for name, values in columns.items():
@@ -115,11 +130,159 @@ def _aligned_layout(row, fields):
     return layout if len(layout) == fields else None
 
 
+def _digit_runs(offsets):
+    """(first, end) byte offsets of the runs of at most 8 consecutive
+    digits, in order, that make up the digits at offsets."""
+    runs = []
+    for offset in offsets:
+        if runs and runs[-1][1] == offset and offset - runs[-1][0] < 8:
+            runs[-1][1] += 1
+        else:
+            runs.append([offset, offset + 1])
+    return [tuple(run) for run in runs]
+
+
+def _run_terms(first, end):
+    """[(word, byte mask, right shift, multiplier)] of the run of row bytes
+    first..end-1 (_RowWords): the sum over them of ((x[word] & mask) >>
+    shift) * multiplier, mod 2^64, is 2561 times the word whose top
+    end - first bytes hold the run's digit values (its bytes' low nibbles),
+    most significant lowest, above zero bytes: the first SWAR step.  The
+    left shift that takes the word of the run's last byte there is folded
+    into its multiplier."""
+    terms = []
+    for word in range(first // 8, (end - 1) // 8 + 1):
+        lo = max(first, 8 * word) - 8 * word
+        hi = min(end, 8 * word + 8) - 8 * word
+        mask = (0x0F0F0F0F0F0F0F0F >> 8 * (8 - hi + lo)) << 8 * lo
+        left = 8 * (8 * word + 8 - end)
+        shift, mult = (0, (2561 << left) % 2**64) if left >= 0 else (-left, 2561)
+        terms.append((word, np.uint64(mask), np.uint64(shift), np.uint64(mult)))
+    return terms
+
+
+def _swar_steps(run):
+    """SWAR steps after the first that a run of digits needs: 0 for 1 or 2
+    digits, 1 for 3 or 4, 2 for 5 to 8."""
+    digits = run[1] - run[0]
+    return (digits > 2) + (digits > 4)
+
+
+class _RowWords:
+    """Parser of the rows of a column-aligned file as 8-byte words (module
+    docstring).
+
+    Byte i of word j of a row is its byte 8 j + i, little-endian; a row's
+    last word runs on past its end, into bytes that no check or value
+    reads.  Every row is checked against the first one's layout by
+    word-wide masks on OR and AND reductions of the rows' words (_fits).
+
+    Each field is its runs of at most 8 consecutive digits, each run turned
+    into its integer by the SWAR parse of Lemire, Softw. Pract. Exp.
+    51:1700 (2021): each step multiplies the word by (10^n << b) + 1 and
+    shifts it right by b, which leaves in every other lane of b bits the
+    value of that lane and the one below (n digits each).  Three steps join
+    8 digits; a run of at most 4 or 2 digits stops a step or two early.
+    The runs are joined as M = M 10^k + run, integers below 10^15 < 2^53.
+    """
+
+    def __init__(self, row, layout):
+        self.width = len(row)
+        words = (self.width + 7) // 8
+        # ref: the first row's bytes, 0x30 at each digit; keep: the bits of
+        # a byte that every row shares with ref (all, or a digit's high
+        # nibble); six: 0x06 at each digit, which carries into a digit's
+        # high nibble 3 iff its low nibble is above 9
+        ref, keep, six = np.zeros((3, 8 * words), dtype=np.uint8)
+        ref[:self.width] = np.frombuffer(row, dtype=np.uint8)
+        keep[:self.width] = 0xFF
+        for offsets, _ in layout:
+            ref[offsets], keep[offsets], six[offsets] = 0x30, 0xF0, 0x06
+        ref, keep, six = (a.view("<u8").astype(np.uint64)
+                          for a in (ref, keep, six))
+        self.keep, self.six = keep, six[:, None]
+        self.want = ref & keep
+        # one row of the SWAR arrays per run, runs of 5 to 8 digits first,
+        # then of 3 or 4, then of 1 or 2: each step is one numpy call
+        field_runs = [_digit_runs(offsets) for offsets, _ in layout]
+        runs = sorted((run for f in field_runs for run in f),
+                      key=_swar_steps, reverse=True)
+        steps = [_swar_steps(run) for run in runs]
+        self.long, self.mid = steps.count(2), steps.count(2) + steps.count(1)
+        self.terms = [_run_terms(*run) for run in runs]
+        swar_row = {run: i for i, run in enumerate(runs)}
+        # per field: fraction digits, [(SWAR row, digits)] of its runs
+        self.fields = [(frac, [(swar_row[run], run[1] - run[0]) for run in f])
+                       for f, (_, frac) in zip(field_runs, layout)]
+
+    def scratch(self, rows):
+        """Arrays for parse of up to rows rows: (bytes, words, swar)."""
+        return (np.empty(rows * self.width + 8, dtype=np.uint8),
+                np.empty((2, self.keep.size, rows), dtype=np.uint64),
+                np.empty((len(self.terms) + 1, rows), dtype=np.uint64))
+
+    def parse(self, rows, scratch, columns):
+        """Values of the rows in the first rows * width bytes of scratch's
+        bytes into columns (one slice per field); False, and no values,
+        where a row does not have the layout."""
+        buf, words, swar = scratch
+        words, swar, tmp = words[:, :, :rows], swar[:-1, :rows], swar[-1, :rows]
+        x = words[0]
+        # word j of every row, one contiguous row of x per word
+        np.copyto(x, np.ndarray(x.shape, dtype="<u8", buffer=buf,
+                                strides=(8, self.width)))
+        if not self._fits(words):
+            return False
+        for value, terms in zip(swar, self.terms):
+            for i, (word, mask, shift, mult) in enumerate(terms):
+                part = tmp if i else value
+                np.bitwise_and(x[word], mask, out=part)
+                if shift:
+                    part >>= shift
+                part *= mult
+                if i:
+                    value += tmp
+        long, both = swar[:self.long], swar[:self.mid]
+        swar[self.mid:] >>= np.uint64(56)
+        both >>= np.uint64(8)
+        both &= np.uint64(0x00FF00FF00FF00FF)
+        both *= np.uint64(6553601)  # 100 << 16 | 1
+        swar[self.long:self.mid] >>= np.uint64(48)
+        long >>= np.uint64(16)
+        long &= np.uint64(0x0000FFFF0000FFFF)
+        long *= np.uint64(42949672960001)  # 10000 << 32 | 1
+        long >>= np.uint64(32)
+        for out, (frac, runs) in zip(columns, self.fields):
+            value = swar[runs[0][0]]
+            for i, digits in runs[1:]:
+                value *= np.uint64(10 ** digits)
+                value += swar[i]
+            np.copyto(out, value.view(np.int64))
+            if frac:
+                out /= float(10 ** frac)
+        return True
+
+    def _fits(self, words):
+        """Whether every row has the layout, words[0] being the rows' words
+        (words[1] is scratch).
+
+        The rows agree with ref on the bits of keep iff their OR and their
+        AND both do.  Where every digit's high nibble is 3, adding six
+        carries out of no byte, and into a digit's high nibble iff its low
+        nibble is above 9; where one is not, the OR or the AND differs."""
+        x, x_six = words
+        np.add(x, self.six, out=x_six)
+        return (np.array_equal(np.bitwise_and.reduce(x, axis=1) & self.keep,
+                               self.want)
+                and np.array_equal(np.bitwise_or.reduce(words, axis=2)
+                                   & self.keep, [self.want, self.want]))
+
+
 def _read_columns_aligned(path):
     """Column name -> values of a column-aligned file (module docstring),
     or None for any other file.  Bit-identical to _read_columns's columns
-    for every worker count: each block's values depend on its bytes alone."""
-    if not hasattr(os, "pread"):
+    for every worker count: each row's values depend on its bytes alone."""
+    if not hasattr(os, "preadv"):
         return None
     with open(path, "rb") as fh:
         names = None
@@ -145,43 +308,28 @@ def _read_columns_aligned(path):
         n, extra = divmod(os.fstat(fh.fileno()).st_size - start, width)
         if extra:
             return None
-        # byte column j of a row, less lo[j] in uint8, is at most span[j]:
-        # a digit (then its value) where the first row has a digit, and
-        # that row's byte (then 0) everywhere else
-        lo = np.frombuffer(row, dtype=np.uint8).copy()
-        span = np.zeros(width, dtype=np.uint8)
-        for offsets, _ in layout:
-            lo[offsets] = ord("0")
-            span[offsets] = 9
-        lo, span = lo[:, None], span[:, None]
+        parser = _RowWords(row, layout)
         columns = {name: np.empty(n) for name in names}
         rejected = []
+        local = threading.local()
 
         def parse(_, block):
             if rejected:  # another block already declined the file
                 return
-            rows = min(block.stop, n) - block.start
-            data = os.pread(fh.fileno(), rows * width,
-                            start + block.start * width)
-            if len(data) != rows * width:
-                rejected.append(block)
-                return
-            # one contiguous row per byte column: numpy threads and
-            # vectorizes contiguous loops, not strided casting ones
-            digits = np.frombuffer(data, dtype=np.uint8).reshape(rows, width).T
-            digits = np.subtract(digits, lo, order="C")
-            if not np.all(digits <= span):
-                rejected.append(block)
-                return
-            for name, (offsets, frac) in zip(names, layout):
-                # Horner: every partial sum is an integer below 10^15 < 2^53
-                out = columns[name][block]
-                np.copyto(out, digits[offsets[0]])
-                for offset in offsets[1:]:
-                    out *= 10
-                    out += digits[offset]
-                if frac:
-                    out /= float(10 ** frac)
+            if not hasattr(local, "scratch"):
+                # this thread's for all its blocks: fresh arrays would cost
+                # a page fault per 4 KB
+                local.scratch = parser.scratch(_READ_ROWS)
+            stop = min(block.stop, n)
+            for lo in range(block.start, stop, _READ_ROWS):
+                rows = min(stop - lo, _READ_ROWS)
+                read = os.preadv(fh.fileno(), [local.scratch[0][:rows * width]],
+                                 start + lo * width)
+                if read != rows * width or not parser.parse(
+                        rows, local.scratch,
+                        [values[lo:lo + rows] for values in columns.values()]):
+                    rejected.append(block)
+                    return
 
         _map_blocks(parse, n)
     return None if rejected else columns

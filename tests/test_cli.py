@@ -380,6 +380,47 @@ class TestUnusedFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestParserBuiltOnce:
+    def test_successive_calls_behave_as_fresh_processes(self, tmp_path,
+                                                        capsys):
+        """main builds its parser once a process.  Commands run one after
+        another in this process, a different subcommand each time and
+        usage errors among them, give the exit code, stdout and stderr that
+        each gives in a fresh process."""
+        cfg = write_config(tmp_path, base_config(
+            scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2}))
+        events = str(tmp_path / "events.csv")
+        commands = [
+            ["simulate", "--config", cfg, "--out", events, "--seed", "3"],
+            ["detect", "--config", cfg, "--events", events, "--seed", "1"],
+            ["detect", "--config", cfg, "--events", events],
+            ["power", "--config", cfg],
+            ["scan", "--config", cfg],
+            ["scan", "--config", cfg, "--events", events],
+            ["simulate", "--config", cfg, "--out", events],
+        ]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        here = [in_process(argv) for argv in commands]
+        assert [code for code, _, _ in here] == [0, 2, 0, 0, 2, 0, 0]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(photonperiod.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        for argv, got in zip(commands, here):
+            proc = subprocess.run([sys.executable, "-m", "photonperiod", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 class TestCalibrateCommand:
     def test_report_fields(self, tmp_path, capsys):
         doc = base_config()

@@ -29,7 +29,8 @@ from photonperiod import (
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
 from photonperiod import detector
-from photonperiod.detector import P_FLOOR, _canonical, _map_blocks, _sum_w2
+from photonperiod.detector import (P_FLOOR, _AN_BLOCK, _canonical, _map_blocks,
+                                   _sum_w2)
 from photonperiod.lightcurve import phase_of
 
 GEOM = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0, sigma=1.0)
@@ -760,7 +761,8 @@ def test_map_blocks_runs_each_task_once_under_contention(monkeypatch):
 
 def test_canonical_skips_the_sort_only_for_ordered_input():
     """Input already in (t, w) order is returned as it is; a tie out of
-    weight order, a time out of order or a nan time is sorted."""
+    weight order, a time out of order or a nan time is sorted, the tie in
+    a copy of the weights alone."""
     t = np.array([0.5, 1.0, 1.0, 2.0])
     w = np.array([0.3, 0.1, 0.2, 0.4])
     got = _canonical(t, w)
@@ -768,7 +770,7 @@ def test_canonical_skips_the_sort_only_for_ordered_input():
     for bad_t, bad_w in ((t, w[[0, 2, 1, 3]]), (t[[1, 0, 2, 3]], w),
                          (np.array([0.5, np.nan, 1.0, 2.0]), w)):
         st, sw = _canonical(bad_t, bad_w)
-        assert st is not bad_t
+        assert (st is bad_t) == (bad_t is t) and sw is not bad_w
         tw = bad_t + 1j * bad_w
         want = np.sort(tw, kind="stable")
         assert np.array_equal(st, want.real, equal_nan=True)
@@ -793,3 +795,58 @@ def test_canonical_orders_only_tied_runs_as_the_full_sort():
     assert st.tobytes() == want.real.tobytes()
     assert sw.tobytes() == want.imag.tobytes()
     assert (t.tobytes(), w.tobytes()) == before
+
+
+def _full_sort(t, w):
+    tw = np.empty(t.size, dtype=complex)
+    tw.real, tw.imag = t, w  # t + 1j * w would drop the zeros' signs
+    tw.sort(kind="stable")
+    return tw.real, tw.imag
+
+
+def test_canonical_pairs_across_a_block_edge():
+    """The pair of events on either side of a 2^16-event block edge is
+    compared too: a tied run whose only weights out of order sit on the
+    edge is ordered as a whole, as the full (t, w) sort orders it, and a
+    time out of order on the edge alone is sorted."""
+    rng = np.random.default_rng(5)
+    n = 2 * _AN_BLOCK + 10
+    t = np.sort(rng.uniform(0.0, 1e3, n))
+    w = rng.uniform(0.0, 1.0, n)
+    edge = slice(_AN_BLOCK - 3, _AN_BLOCK + 3)
+    t[edge] = t[edge.start]
+    w[edge] = [0.1, 0.2, 0.6, 0.3, 0.4, 0.5]  # in order within each block
+    st, sw = _canonical(t, w)
+    assert st is t
+    want = _full_sort(t, w)
+    assert sw.tobytes() == want[1].tobytes()
+    assert sw[edge].tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    t = np.sort(rng.uniform(0.0, 1e3, n))
+    t[[_AN_BLOCK - 1, _AN_BLOCK]] = t[[_AN_BLOCK, _AN_BLOCK - 1]]
+    st, sw = _canonical(t, w)
+    want = _full_sort(t, w)
+    assert st.tobytes() == want[0].tobytes()
+    assert sw.tobytes() == want[1].tobytes()
+
+
+def test_detect_checks_and_orders_its_events_once(monkeypatch):
+    """detect checks the weights and puts the events in (t, w) order once;
+    fourier_coefficients takes them as they are, and gives the bits it
+    gives their plain arrays."""
+    calls = collections.Counter()
+    for name in ("_times_and_weights", "_canonical"):
+        def counted(*args, fn=getattr(detector, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(detector, name, counted)
+    rng = np.random.default_rng(6)
+    n = _AN_BLOCK + 7
+    t = np.round(rng.uniform(0.0, 1e3, n), 2)  # ties, most out of order
+    w = rng.uniform(0.01, 1.0, n)
+    zeros = np.zeros(n)
+    model, tpl = PhaseModel(f=1.3), HarmonicTemplate([1.0, 0.5])
+    res = detect(EventList(t=t, energy=zeros, angle=zeros), w, model, tpl,
+                 theta=0.2, T=1e3)
+    assert calls == {"_times_and_weights": 1, "_canonical": 1}
+    an = fourier_coefficients(t, w, model, tpl.m)
+    assert res.an_sq.tolist() == (np.abs(an) ** 2).tolist()

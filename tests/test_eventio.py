@@ -408,6 +408,7 @@ class TestAlignedReader:
         columns = eventio._read_columns_aligned(path)
         assert columns is not None
         _assert_same_as_line_parser(path, columns)
+        eventio._check_values(path, columns)  # read_events skips it here
 
     def test_worker_count_moves_no_bit(self, tmp_path, monkeypatch):
         path = _aligned_file(tmp_path, 2 * detector._AN_BLOCK + 100)
@@ -433,3 +434,84 @@ class TestAlignedReader:
         ev, w = read_events(path)
         assert w is None
         assert ev.t is read[0]["time"] and ev.angle is read[0]["angle"]
+
+
+# (id, header, row template with '#' at each digit): row widths that are and
+# are not multiples of 8, one shorter than a word, and 15-digit fields
+WORD_LAYOUTS = [
+    ("32-byte rows", HEAD, "#####.######,##.######,#.######\n"),
+    ("23-byte rows", HEAD, "#########.######,#.#,#\n"),
+    ("6-byte rows", HEAD, "#,#,#\n"),
+    ("40-byte rows", "time,energy,angle,weight\n",
+     "###############,.###############,##.#,#\n"),
+]
+# bytes put in place of a digit, and of a separator, dot or line feed: each
+# makes a row that the aligned reader must decline
+NOT_DIGITS = b"/: -\x80\xb5\xfa\xff\r"
+NOT_OTHERS = b"07\x80\xae\r"
+
+
+def _digit_rows(template, n, seed=0):
+    """n rows of template, with a random digit at each '#'."""
+    row = np.frombuffer(template.encode(), dtype=np.uint8)
+    rows = np.tile(row, (n, 1))
+    digits = row == ord("#")
+    rows[:, digits] = np.random.default_rng(seed).integers(
+        ord("0"), ord("9") + 1, (n, int(digits.sum())))
+    return rows.tobytes()
+
+
+def _bad_bytes(template):
+    """(column, byte) of every corruption of a row of template."""
+    return [(col, bytes([bad])) for col, c in enumerate(template)
+            for bad in (NOT_DIGITS if c == "#" else NOT_OTHERS)]
+
+
+class TestWordChecks:
+    @pytest.mark.parametrize("header, template", [c[1:] for c in WORD_LAYOUTS],
+                             ids=[c[0] for c in WORD_LAYOUTS])
+    def test_bad_byte_of_a_short_file(self, tmp_path, monkeypatch, header,
+                                      template):
+        """Each bad byte in the first or the last of three rows: declined,
+        and read_events gives the line parser's arrays or message."""
+        text = bytearray(header.encode() + _digit_rows(template, 3))
+        path = tmp_path / "ev.csv"
+        path.write_bytes(text)
+        assert eventio._read_columns_aligned(path) is not None
+        got = {}
+        for row in (0, 2):
+            for col, bad in _bad_bytes(template):
+                pos = len(header) + row * len(template) + col
+                path.write_bytes(text[:pos] + bad + text[pos + 1:])
+                assert eventio._read_columns_aligned(path) is None, (row, col, bad)
+                got[row, col, bad] = _outcome(path)
+        _line_parser_only(monkeypatch)
+        for (row, col, bad), outcome in got.items():
+            pos = len(header) + row * len(template) + col
+            path.write_bytes(text[:pos] + bad + text[pos + 1:])
+            assert outcome == _outcome(path), (row, col, bad)
+
+    @pytest.mark.parametrize("header, template", [c[1:] for c in WORD_LAYOUTS],
+                             ids=[c[0] for c in WORD_LAYOUTS])
+    def test_bad_byte_at_block_edges(self, tmp_path, header, template):
+        """Each bad byte in row 0, the last row of the first 2^16-row block,
+        the first of the second, or the file's last row: declined."""
+        n = detector._AN_BLOCK + 2
+        path = tmp_path / "ev.csv"
+        path.write_bytes(header.encode() + _digit_rows(template, n))
+        assert eventio._read_columns_aligned(path) is not None
+        with open(path, "r+b") as fh:
+            for row in (0, detector._AN_BLOCK - 1, detector._AN_BLOCK, n - 1):
+                for col, bad in _bad_bytes(template):
+                    pos = len(header) + row * len(template) + col
+                    fh.seek(pos)
+                    good = fh.read(1)
+                    fh.seek(pos)
+                    fh.write(bad)
+                    fh.flush()
+                    assert eventio._read_columns_aligned(path) is None, (
+                        row, col, bad)
+                    fh.seek(pos)
+                    fh.write(good)
+                    fh.flush()
+        assert eventio._read_columns_aligned(path) is not None

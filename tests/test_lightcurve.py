@@ -49,6 +49,29 @@ class TestEvalProfile:
         assert np.isnan(eval_profile(prof, np.nan))
         assert eval_profile(prof, phase.reshape(7, 1)).shape == (7, 1)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_recurrence_within_its_bound_of_complex_exp(self, seed):
+        """The z^n recurrence on _unit_phasors against complex exp on the
+        N x m phase array: apart by no more than the sum of the two forms'
+        rounding bounds, in u = 2^-53.  The recurrence's is in eval_profile's
+        docstring; complex exp's angle 2 pi n phase is rounded by up to
+        3 u |2 pi n phase| and its exp and sum by (m + 4) u |gamma_n| each."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 12))
+        n = np.arange(1, m + 1)
+        gamma = (rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.05 / n
+        prof = LightCurveProfile.unchecked(gamma, eta=rng.uniform(0.1, 2.0))
+        phase = np.concatenate([rng.uniform(-3.0, 10.0, 2000),
+                                rng.uniform(-1e4, 1e4, 200), [0.0, 0.5]])
+        want = 1.0 + 2.0 * prof.eta * np.real(
+            np.exp(2j * np.pi * np.multiply.outer(phase, n)) @ gamma)
+        got = eval_profile(prof, phase)
+        a, u = np.abs(gamma), 2.0**-53
+        own = (2 * prof.eta * np.sum(a * (6 * n + m + 4)) + 2 * np.abs(got))
+        ref = 2 * prof.eta * (
+            np.abs(phase) * np.sum(a * 3 * 2 * np.pi * n) + np.sum(a) * (m + 4))
+        assert np.all(np.abs(got - want) <= (own + ref) * u)
+
     def test_cosine_peak(self):
         assert eval_profile(single_harmonic(), 0.0) == pytest.approx(2.0)
 
