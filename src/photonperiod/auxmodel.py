@@ -647,11 +647,13 @@ def _breakpoints(values, ranges, ends):
     _SECTIONS-fold, and such a candidate is dropped.  A bracket within
     _SECTIONS floating-point steps is a jump, at its midpoint.  A jump is a
     breakpoint where two probe lines find it at the same place, so that it
-    holds across the other axis, unless it lies within _APART floating-point
-    steps of an end or of a jump already taken.  Not found: a jump within the
-    end offset of an end, a jump whose bracket holds a larger change or a
-    second jump, and a jump that moves along the other axis, which the
-    integrals find as before.  Returns the energy and angle breakpoints.
+    holds across the other axis, or where one line finds it and the lines
+    beside it none, so that it bounds a band too narrow for two lines; unless
+    it lies within _APART floating-point steps of an end or of a jump already
+    taken.  Not found: a jump within the end offset of an end, a jump whose
+    bracket holds a larger change or a second jump, and a jump that moves
+    along the other axis, which the integrals find as before.  Returns the
+    energy and angle breakpoints.
     """
     grid = []
     for a, b in ranges:
@@ -662,8 +664,8 @@ def _breakpoints(values, ranges, ends):
     vals = vals.reshape(-1, _PROBES, _PROBES)
     live = live.reshape(_PROBES, _PROBES)
     scale = np.abs(vals).max(axis=(1, 2))
-    # each candidate: its axis, the other coordinate, bracket and difference
-    axis, fixed, lo, hi, diff = [], [], [], [], []
+    # each candidate: its axis, probe line, bracket and difference
+    axis, line, lo, hi, diff = [], [], [], [], []
     for ax in (0, 1):
         d = _steps(np.moveaxis(vals, 1 + ax, -1), np.moveaxis(live, ax, -1),
                    scale)
@@ -671,17 +673,17 @@ def _breakpoints(values, ranges, ends):
         row, i = np.nonzero((d > _JUMP_FLOOR) & (d > 2.0 * pad[:, :-2])
                             & (d > 2.0 * pad[:, 2:]))
         axis.append(np.full(row.size, ax))
-        fixed.append(grid[1 - ax][row])
+        line.append(row)
         lo.append(grid[ax][i])
         hi.append(grid[ax][i + 1])
         diff.append(d[row, i])
-    axis, fixed, lo, hi, diff = map(np.concatenate, (axis, fixed, lo, hi, diff))
+    axis, line, lo, hi, diff = map(np.concatenate, (axis, line, lo, hi, diff))
     fractions = np.linspace(0.0, 1.0, _SECTIONS + 1)
-    found_axis, found_at = [np.empty(0, int)], [np.empty(0)]
+    found = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
     while lo.size:
         t = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
-        other = np.broadcast_to(fixed[:, None], t.shape)
         along_e = (axis == 0)[:, None]
+        other = np.where(along_e, grid[1][line, None], grid[0][line, None])
         vals, live = values(np.where(along_e, t, other).ravel(),
                             np.where(along_e, other, t).ravel())
         d = _steps(vals.reshape((-1,) + t.shape), live.reshape(t.shape), scale)
@@ -690,16 +692,21 @@ def _breakpoints(values, ranges, ends):
         lo, hi, diff = t[rows, j], t[rows, j + 1], d[rows, j]
         located = keep & (hi - lo <= _SECTIONS * np.spacing(
             np.maximum(np.abs(lo), np.abs(hi))))
-        found_axis.append(axis[located])
-        found_at.append(0.5 * (lo + hi)[located])
+        found.append((axis[located], line[located], 0.5 * (lo + hi)[located]))
         keep &= ~located
-        axis, fixed, lo, hi, diff = (x[keep] for x in (axis, fixed, lo, hi, diff))
-    found_axis, found_at = np.concatenate(found_axis), np.concatenate(found_at)
+        axis, line, lo, hi, diff = (x[keep] for x in (axis, line, lo, hi, diff))
+    found_axis, found_line, found_at = map(np.concatenate, zip(*found))
     points = []
     for ax in (0, 1):
-        at, lines = np.unique(found_at[found_axis == ax], return_counts=True)
+        on = found_axis == ax
+        at, first, lines = np.unique(found_at[on], return_index=True,
+                                     return_counts=True)
+        # jumps found on each probe line, padded with a line of none at each
+        # end, so that line k's neighbours are k and k + 2
+        busy = np.pad(np.bincount(found_line[on], minlength=_PROBES), 1)
+        k = found_line[on][first]
         kept = list(ends[ax])
-        for x in at[lines >= 2]:
+        for x in at[(lines >= 2) | ((busy[k] == 0) & (busy[k + 2] == 0))]:
             if np.all(np.abs(x - np.array(kept)) > _APART * np.spacing(abs(x))):
                 kept.append(x)
         points.append(np.array(kept))

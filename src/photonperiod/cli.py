@@ -1,8 +1,12 @@
 """Command-line frontend.
 
 Subcommands: simulate, detect, scan, power, calibrate.  Machine-readable
-output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
-1 runtime failure, 2 usage or config error.
+output is strict JSON on stdout; diagnostics go to stderr.  Exit codes: 0
+success, 1 runtime failure, 2 usage or config error.  detect and scan take
+their per-event weights by one route, _weights, onto detector.event_weights:
+with theta by MLE, the optimal weight evaluates each density once per event.
+power and calibrate take the configured WeightFunction, at model.theta where
+weight.theta is not set.
 """
 
 import argparse
@@ -23,6 +27,15 @@ __all__ = ["main"]
 
 def _err(msg):
     print(msg, file=sys.stderr)
+
+
+def _at_least(low):
+    """An argparse type: an integer of at least low, else a usage error."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return int(text)
+    return integer
 
 
 @functools.cache  # built once a process: a parse leaves it as it was
@@ -56,8 +69,8 @@ def _build_parser():
 
     p = sub.add_parser("calibrate", help="null Monte Carlo calibration report")
     common(p, seed=True)
-    p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--replicates", type=_at_least(2), default=2000)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     return parser
 
 
@@ -82,57 +95,48 @@ def cmd_simulate(args):
     return 0
 
 
-def _concrete_weight(cfg, theta, command):
-    """The configured WeightFunction, with theta the fallback for weight.theta."""
-    wf = cfg.weight(theta)
-    if wf is None:
-        raise ConfigError("weight", "%s needs a concrete weight kind" % command)
-    return wf
-
-
-def _resolve_weights(cfg, events, file_weights):
-    """Per-event weights plus the theta they use (None if none), per the config."""
-    kind = cfg.weight_kind()
+def _weights(cfg, events, file_weights):
+    """Per-event weights and the theta they use, from detector.event_weights:
+    the file's column for 'precomputed'; for 'optimal' without weight.theta,
+    the posterior at the theta MLE from one evaluation of both densities; for
+    'optimal-no-spectrum' without it, the angle-only weight at the MLE; else
+    the configured WeightFunction."""
+    kind, theta = cfg.weight_kind(), cfg.detect_theta()
+    mle = theta is None and kind in ("optimal", "optimal-no-spectrum")
+    weight_fn = densities = None
     if kind == "precomputed":
         if file_weights is None:
             raise ConfigError("weight.kind",
                               "'precomputed' needs a weight column in the file")
-        return np.asarray(file_weights, dtype=float), None
-    theta = cfg.detect_theta()
-    if kind in ("optimal", "optimal-no-spectrum") and theta is None:
-        theta = detector.estimate_theta(events, cfg.densities())
-        _err("theta MLE: %.6f" % theta)
-    wf = cfg.weight(theta)
-    return np.asarray(wf(events.energy, events.angle), dtype=float), theta
+        weight_fn, theta = file_weights, None  # a weight.theta goes unused
+    elif mle and kind == "optimal":
+        densities = cfg.densities()
+    else:
+        if mle:
+            theta = detector.estimate_theta(events, cfg.densities())
+        weight_fn = cfg.weight(theta)
+    w, theta_used = detector.event_weights(events, weight_fn, theta, densities)
+    if mle:
+        _err("theta MLE: %.6f" % theta_used)
+    return w, theta_used
 
 
 def cmd_detect(args):
     cfg = load_config(args.config)
-    phase = cfg.phase()
-    template = cfg.template()
-    model = cfg.model()
+    phase, template, model = cfg.phase(), cfg.template(), cfg.model()
     events, file_weights = eventio.read_events(args.events)
-    if cfg.weight_kind() == "optimal" and cfg.detect_theta() is None:
-        # detect takes the theta MLE and the posterior weights from one
-        # evaluation of both densities at the events
-        result = detector.detect(events, None, phase, template,
-                                 densities=cfg.densities(), T=model.T)
-        _err("theta MLE: %.6f" % result.theta_used)
-    else:
-        w, theta = _resolve_weights(cfg, events, file_weights)
-        result = detector.detect(events, w, phase, template, theta=theta,
-                                 T=model.T)
+    w, theta = _weights(cfg, events, file_weights)
+    result = detector.detect(events, w, phase, template, theta=theta, T=model.T)
     print(result.to_json())
     return 0
 
 
 def cmd_scan(args):
     cfg = load_config(args.config)
-    template = cfg.template()
-    model = cfg.model()
+    template, model = cfg.template(), cfg.model()
     spec = cfg.scan_spec(model.T)
     events, file_weights = eventio.read_events(args.events)
-    w, _ = _resolve_weights(cfg, events, file_weights)
+    w, _ = _weights(cfg, events, file_weights)
     result = run_scan(events, w, template, model.T, spec,
                       epoch=cfg.phase().epoch)
     if args.out:
@@ -153,11 +157,10 @@ def cmd_power(args):
         # checked before the SNR line is printed or the table opened
         raise ConfigError("profile", "power --out needs a nonzero coefficient "
                                      "for the template efficiency table")
-    kind = cfg.weight_kind()
-    if kind == "unit":
+    if cfg.weight_kind() == "unit":
         eff_w = 1.0
     else:
-        wf = _concrete_weight(cfg, model.theta, "power prediction")
+        wf = cfg.weight(model.theta)
         moments = auxmodel.weight_moments(wf, model.theta, cfg.densities())
         eff_w = auxmodel.weight_efficiency(moments, model.theta)
     pred = power.predicted_snr(model.theta, model.T, model.mu0, eff_w,
@@ -180,10 +183,8 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
     # the null hypothesis: the configured model with a constant light curve
     model = dataclasses.replace(cfg.model(),
                                 profile=lightcurve.LightCurveProfile.constant())
-    densities = cfg.densities()
-    phase = cfg.phase()
-    template = cfg.template()
-    wf = _concrete_weight(cfg, model.theta, "calibrate")
+    densities, phase, template = cfg.densities(), cfg.phase(), cfg.template()
+    wf = cfg.weight(model.theta)
     children = np.random.SeedSequence(seed).spawn(replicates)
     pvals, scaled, qts = [], [], []
     for i in range(start, stop):
@@ -199,8 +200,7 @@ def cmd_calibrate(args):
     # imported here: no other subcommand loads scipy
     from scipy.stats import chi2, kstest
     cfg = load_config(args.config)
-    n = args.replicates
-    threads = max(1, args.threads)
+    n, threads = args.replicates, args.threads
     bounds = np.linspace(0, n, threads + 1).astype(int)
     chunks = [(cfg.doc, args.seed, int(a), int(b), n)
               for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -235,13 +235,8 @@ def cmd_calibrate(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "detect": cmd_detect,
-        "scan": cmd_scan,
-        "power": cmd_power,
-        "calibrate": cmd_calibrate,
-    }
+    handlers = {"simulate": cmd_simulate, "detect": cmd_detect,
+                "scan": cmd_scan, "power": cmd_power, "calibrate": cmd_calibrate}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

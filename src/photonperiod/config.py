@@ -23,8 +23,11 @@ class ConfigError(ValueError):
     """Invalid configuration; carries the offending field path."""
 
     def __init__(self, field, message):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__("config field %r: %s" % (field, message))
+
+    def __reduce__(self):  # so that it reaches calibrate from a worker
+        return ConfigError, (self.field, self.message)
 
 
 @contextmanager
@@ -217,13 +220,13 @@ class Config:
     def weight(self, theta=None):
         """Build the configured WeightFunction.
 
-        The optimal kinds use weight.theta if set, else the fallback theta.
-        None for kind 'precomputed' (weights come from the event file), and
-        for the optimal kinds when neither theta is known.
+        The optimal kinds use weight.theta if set, else the fallback theta,
+        and give None when neither is known.  Kind 'precomputed' has none:
+        its weights are an event file's column.
         """
         sec, kind, configured = self._weight()
         if kind == "precomputed":
-            return None
+            raise ConfigError("weight", "'precomputed' weights need an event file")
         if kind == "unit":
             return auxmodel.unit_weight()
         if kind == "cut":

@@ -41,6 +41,7 @@ __all__ = [
     "estimate_theta",
     "weighted_chi2_sf",
     "p_value",
+    "event_weights",
     "detect",
 ]
 
@@ -60,7 +61,9 @@ class DetectionResult:
                 "an_sq": np.asarray(self.an_sq).tolist(),
                 "sum_w2": self.sum_w2,
                 "p_value": self.p_value,
-                "theta_used": self.theta_used,
+                # strict JSON: no theta (nan) is null
+                "theta_used": None if math.isnan(self.theta_used)
+                else self.theta_used,
                 "n_events": self.n_events,
             }
         )
@@ -491,15 +494,41 @@ def p_value(qt, sum_w2, template, T):
     return weighted_chi2_sf(qt * T, lam)
 
 
-def detect(events, weight_fn, model, template, theta=None, densities=None,
-           T=None):
-    """Full pipeline: weights -> A_n -> Q_T -> p-value.
+def event_weights(events, weight_fn, theta=None, densities=None):
+    """Per-event weights and the source fraction they use, (w, theta_used).
 
     weight_fn: a function w(E, phi), an array of per-event weights, or None
-    for the optimal posterior weight built from (theta_used, densities).
+    for the optimal posterior weight at theta_used, from one evaluation of
+    both densities at the events that also gives the MLE.
     theta: known source fraction, or None to take the MLE from the auxiliary
-    data (requires densities).
+    data (requires densities); theta_used is nan where there is neither.
     """
+    if weight_fn is not None:
+        if theta is None and densities is not None:
+            theta = estimate_theta(events, densities)
+        w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
+        return w, float("nan") if theta is None else float(theta)
+    if densities is None:
+        raise ValueError("optimal weights need theta (or its MLE) and densities")
+    fs, fb = _densities_at(events, densities)
+    if theta is None:
+        theta_used = _theta_mle(fs, fb)  # checks the support
+    else:
+        _check_support(fs, fb)
+        theta_used = float(theta)
+    w = np.empty_like(fs)
+    w_theta = _weight_theta(theta_used)
+
+    def weights(_, b):
+        w[b] = _posterior(w_theta, fs[b], fb[b])
+
+    _map_blocks(weights, w.size)
+    return w, theta_used
+
+
+def detect(events, weight_fn, model, template, theta=None, densities=None,
+           T=None):
+    """Full pipeline: weights (event_weights) -> A_n -> Q_T -> p-value."""
     if T is None or T <= 0:
         raise ValueError("T must be positive")
     if model.f * T < 100:
@@ -508,32 +537,7 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
             "be negligible" % (model.f * T),
             stacklevel=2,
         )
-    if weight_fn is None:
-        if densities is None:
-            raise ValueError("optimal weights need theta (or its MLE) and densities")
-        # one evaluation of both densities serves the MLE and the weights
-        fs, fb = _densities_at(events, densities)
-        if theta is None:
-            theta_used = _theta_mle(fs, fb)  # checks the support
-        else:
-            _check_support(fs, fb)
-            theta_used = float(theta)
-        w = np.empty_like(fs)
-        w_theta = _weight_theta(theta_used)
-
-        def weights(_, b):
-            w[b] = _posterior(w_theta, fs[b], fb[b])
-
-        _map_blocks(weights, w.size)
-        del fs, fb
-    else:
-        if theta is not None:
-            theta_used = float(theta)
-        elif densities is not None:
-            theta_used = estimate_theta(events, densities)
-        else:
-            theta_used = float("nan")
-        w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
+    w, theta_used = event_weights(events, weight_fn, theta, densities)
 
     # checked and sorted once: fourier_coefficients takes them as they are
     ordered = _canonical(*_times_and_weights(events, w))

@@ -63,11 +63,6 @@ class HarmonicTemplate:
     def to_json(self):
         return json.dumps({"m": self.m, "amps_sq": self.amps_sq.tolist()})
 
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(np.asarray(obj["amps_sq"], dtype=float))
-
 
 @dataclass(frozen=True)
 class LightCurveProfile:
@@ -129,12 +124,6 @@ class LightCurveProfile:
                 "coeffs": [[c.real, c.imag] for c in self.coeffs],
             }
         )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return cls(coeffs, eta=float(obj["eta"]))
 
 
 @dataclass(frozen=True)

@@ -243,12 +243,16 @@ class TestCutClosedForm:
         assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
         assert weight_efficiency(m, theta) == pytest.approx(eff, rel=1e-8, abs=0)
 
-    @pytest.mark.parametrize("cut", [{"phi_max": 0.01}, {"e_lo": 4.995}],
-                             ids=["phi_max=0.01", "e_lo=4.995"])
+    @pytest.mark.parametrize("cut", [
+        {"phi_max": 0.01}, {"e_lo": 4.995},
+        {"e_lo": 4.9, "phi_max": 0.01}, {"e_lo": 4.99, "phi_max": 0.01},
+    ], ids=["phi_max=0.01", "e_lo=4.995", "e_lo=4.9,phi_max=0.01",
+            "e_lo=4.99,phi_max=0.01"])
     def test_edges_in_the_end_gaps_of_the_first_intervals(self, cut):
         """Edges outside the outermost Kronrod nodes of [0, 5] (0.0109) and
         of [1, 5] (4.9913), which no node of the integrals' first pass
-        sees: the probe finds them from the weight's values."""
+        sees: the probe finds them from the weight's values.  In the last
+        two cuts each edge bounds a band that one probe line alone crosses."""
         theta = 0.1
         m = weight_moments(cut_weight_fn(**cut), theta,
                            benchmark_power_densities())

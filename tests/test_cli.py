@@ -9,8 +9,9 @@ import pytest
 import photonperiod
 from photonperiod import (detect, detector, estimate_theta, read_events, scan,
                           write_events)
-from photonperiod.auxmodel import (custom_weight, optimal_no_spectrum_fn,
-                                   optimal_weight_fn)
+from photonperiod.auxmodel import (AuxDensityPair, custom_weight,
+                                   cut_weight_fn, optimal_no_spectrum_fn,
+                                   optimal_weight_fn, psf_gaussian_weight_fn)
 from photonperiod.cli import main
 from photonperiod.config import Config
 
@@ -153,7 +154,8 @@ class TestDetect:
 
 
 class TestOnePipeline:
-    """detect prints exactly what detector.detect returns on the same events."""
+    """detect and scan print exactly what detector.detect and scan.scan
+    return on the same events, with the library's weights."""
 
     def _library(self, doc, events, weights, theta=None, densities=None):
         cfg = Config(doc)
@@ -271,6 +273,131 @@ class TestOnePipeline:
         assert code == 0, err
         assert json.loads(out)["theta_used"] == 0.0
         assert 1 <= len(passes) <= 4
+
+    @pytest.mark.parametrize("weight, library", [
+        ({"kind": "unit"}, lambda ev, w, cfg: np.ones(len(ev))),
+        ({"kind": "cut", "cut": {"e_lo": 1.5, "phi_max": 2.0}},
+         lambda ev, w, cfg: cut_weight_fn(e_lo=1.5, phi_max=2.0)(*ev.z)),
+        ({"kind": "psf-gaussian"},
+         lambda ev, w, cfg: psf_gaussian_weight_fn(cfg.geometry())(*ev.z)),
+        ({"kind": "optimal"}, lambda ev, w, cfg: optimal_weight_fn(
+            estimate_theta(ev, cfg.densities()), cfg.densities())(*ev.z)),
+        ({"kind": "optimal", "theta": 0.3},
+         lambda ev, w, cfg: optimal_weight_fn(0.3, cfg.densities())(*ev.z)),
+        ({"kind": "optimal-no-spectrum"}, lambda ev, w, cfg: optimal_no_spectrum_fn(
+            estimate_theta(ev, cfg.densities()), cfg.densities())(*ev.z)),
+        ({"kind": "optimal-no-spectrum", "theta": 0.3},
+         lambda ev, w, cfg: optimal_no_spectrum_fn(0.3, cfg.densities())(*ev.z)),
+        ({"kind": "precomputed"}, lambda ev, w, cfg: w),
+    ], ids=["unit", "cut", "psf-gaussian", "optimal", "optimal-theta",
+            "optimal-no-spectrum", "optimal-no-spectrum-theta", "precomputed"])
+    def test_scan(self, tmp_path, capsys, weight, library):
+        doc = base_config(weight=weight,
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+        cfg = write_config(tmp_path, doc)
+        plain, events = str(tmp_path / "plain.csv"), str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", plain, "--seed", "8"])
+        ev, _ = read_events(plain)
+        write_events(events, ev,
+                     weights=np.random.default_rng(2).uniform(0.0, 1.0, len(ev)))
+        code, out, err = run(capsys, ["scan", "--config", cfg, "--events", events])
+        assert code == 0, err
+        assert ("theta MLE" in err) == (
+            weight["kind"].startswith("optimal") and "theta" not in weight)
+        config = Config(doc)
+        ev, w = read_events(events)
+        res = scan(ev, library(ev, w, config), config.template(), 100.0,
+                   config.scan_spec(100.0))
+        assert out.strip() == json.dumps(res.best)
+
+
+class TestOneWeightRoute:
+    @pytest.mark.parametrize("command", ["detect", "scan"])
+    def test_each_density_once_per_event(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        """With theta by MLE, the optimal weight and the MLE come from one
+        evaluation of both densities at the N events."""
+        doc = base_config(weight={"kind": "optimal"},
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events, "--seed", "8"])
+        n = len(read_events(events)[0])
+        points = {"pdf_source": 0, "pdf_background": 0}
+        for name in points:
+            def counted(self, e, phi, name=name, pdf=getattr(AuxDensityPair, name)):
+                points[name] += np.size(e)
+                return pdf(self, e, phi)
+
+            monkeypatch.setattr(AuxDensityPair, name, counted)
+        code, _, err = run(capsys, [command, "--config", cfg, "--events", events])
+        assert code == 0, err
+        assert "theta MLE" in err
+        assert points == {"pdf_source": n, "pdf_background": n}
+
+
+def _strict_json(text):
+    """text parsed as strict JSON: NaN and the infinities are errors."""
+    def constant(name):
+        raise ValueError("not strict JSON: %s" % name)
+    return json.loads(text, parse_constant=constant)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("weight", [
+        {"kind": "unit"}, {"kind": "cut", "cut": {"phi_max": 2.0}},
+        {"kind": "psf-gaussian"}, {"kind": "optimal"},
+        {"kind": "optimal-no-spectrum", "theta": 0.3}, {"kind": "precomputed"},
+    ], ids=["unit", "cut", "psf-gaussian", "optimal", "optimal-no-spectrum",
+            "precomputed"])
+    def test_every_subcommand(self, tmp_path, capsys, weight):
+        """Each subcommand's stdout is strict JSON: detect prints a theta_used
+        of null where the weights use none."""
+        doc = base_config(weight=weight,
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
+        doc["model"] = {"mu": 50.0, "theta": 0.3, "T": 20.0}
+        cfg = write_config(tmp_path, doc)
+        plain, events = str(tmp_path / "plain.csv"), str(tmp_path / "events.csv")
+        code, out, _ = run(capsys, ["simulate", "--config", cfg, "--out", plain])
+        assert code == 0
+        _strict_json(out)
+        ev, _ = read_events(plain)
+        write_events(events, ev, weights=np.ones(len(ev)))
+        for argv in (["detect", "--events", events], ["scan", "--events", events],
+                     ["power"], ["calibrate", "--replicates", "2"]):
+            code, out, err = run(capsys, argv[:1] + ["--config", cfg] + argv[1:])
+            if weight["kind"] == "precomputed" and argv[0] in ("power",
+                                                              "calibrate"):
+                assert (code, out) == (2, ""), err
+                continue
+            assert code == 0, err
+            res = _strict_json(out)
+            if argv[0] == "detect":
+                has_theta = weight["kind"].startswith("optimal")
+                assert (res["theta_used"] is not None) == has_theta
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--replicates", "1"), ("--replicates", "0"), ("--replicates", "-3"),
+        ("--threads", "0"), ("--threads", "-2"),
+    ])
+    def test_below_the_least_is_a_usage_error(self, tmp_path, capsys, flag,
+                                              value):
+        """calibrate needs two replicates for a variance, and one thread."""
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--config", cfg, flag, value])
+        assert exc.value.code == 2
+        assert "argument %s: must be at least" % flag in capsys.readouterr().err
+
+    def test_config_error_from_a_worker_process(self, tmp_path, capsys):
+        """A worker's ConfigError reaches calibrate as a config error."""
+        cfg = write_config(tmp_path, base_config(weight={"kind": "precomputed"}))
+        code, out, err = run(capsys, ["calibrate", "--config", cfg,
+                                      "--replicates", "2", "--threads", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: config field 'weight': ")
 
 
 class TestScanCommand:

@@ -187,19 +187,6 @@ class TestEstimateProfileCoeffs:
         assert template_efficiency(HarmonicTemplate(amps), single_harmonic()) > 0.99
 
 
-class TestSerialization:
-    def test_template_round_trip(self):
-        tpl = HarmonicTemplate([1.0, 0.25, 0.0, 2.0])
-        again = HarmonicTemplate.from_json(tpl.to_json())
-        assert np.array_equal(again.amps_sq, tpl.amps_sq)
-
-    def test_profile_round_trip(self):
-        prof = LightCurveProfile(np.array([0.2 + 0.1j, 0.05 - 0.02j]), eta=0.8)
-        again = LightCurveProfile.from_json(prof.to_json())
-        assert np.array_equal(again.coeffs, prof.coeffs)
-        assert again.eta == prof.eta
-
-
 def _edge_phases():
     """Phases at the kernel's edges: signed zeros, a tiny negative phase,
     the last double below 1, table points and their neighbours, midpoints

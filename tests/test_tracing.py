@@ -43,12 +43,18 @@ def test_tracer_counts_detect_scan_and_power(tmp_path, capsys):
     }
     cfg = str(tmp_path / "config.json")
     Path(cfg).write_text(json.dumps(doc))
+    # the scan step's own document, by a later --config: theta by MLE, then
+    # the angle-only weight at it, calls estimate_theta and the weight function
+    scan_cfg = str(tmp_path / "scan.json")
+    Path(scan_cfg).write_text(json.dumps(
+        dict(doc, weight={"kind": "optimal-no-spectrum"})))
     events = str(tmp_path / "events.csv")
     originals = [owner.__dict__[attr] for owner, attr in TRACED]
 
     with Tracer().installed() as tracer:
         for argv in (["simulate", "--out", events], ["detect", "--events", events],
-                     ["scan", "--events", events], ["power"]):
+                     ["scan", "--events", events, "--config", scan_cfg],
+                     ["power"]):
             assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 0
     capsys.readouterr()
 
