@@ -42,7 +42,6 @@ __all__ = [
     "optimal_no_spectrum_fn",
     "psf_gaussian_weight_fn",
     "cut_weight_fn",
-    "custom_weight",
     "optimal_weight",
     "psf_gaussian_weight",
     "cut_weight",
@@ -576,10 +575,6 @@ def cut_weight_fn(e_lo=-np.inf, e_hi=np.inf, phi_max=np.inf):
     if e_lo > e_hi:
         raise ValueError("cut has e_lo > e_hi")
     return WeightFunction(lambda e, phi: cut_weight((e, phi), cut))
-
-
-def custom_weight(fn):
-    return WeightFunction(fn)
 
 
 # ---------------------------------------------------------------------------

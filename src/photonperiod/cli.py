@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Subcommands: simulate, detect, scan, power, calibrate.  Machine-readable
-output is strict JSON on stdout; diagnostics go to stderr.  Exit codes: 0
-success, 1 runtime failure, 2 usage or config error.  detect and scan take
-their per-event weights by one route, _weights, onto detector.event_weights:
+output is strict JSON on stdout, one line a result from one writer,
+_json_line; diagnostics go to stderr.  Exit codes: 0 success, 1 runtime
+failure, 2 usage or config error.  detect and scan take their per-event
+weights by one route, _weights, onto detector.event_weights:
 with theta by MLE, the optimal weight evaluates each density once per event.
 power and calibrate take the configured WeightFunction, at model.theta where
 weight.theta is not set.
@@ -27,6 +28,21 @@ __all__ = ["main"]
 
 def _err(msg):
     print(msg, file=sys.stderr)
+
+
+def _plain(obj):
+    """json.dumps' fallback: a numpy array or scalar as a list or number."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+
+
+def _json_line(result):
+    """A dataclass (its fields in order) or a mapping as one line of strict
+    JSON: NaN or an infinity raises ValueError instead of printing."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    return json.dumps(result, allow_nan=False, default=_plain)
 
 
 def _at_least(low):
@@ -86,7 +102,7 @@ def cmd_simulate(args):
     events = simulator.simulate(model, densities, tau=cfg.tau(), seed=args.seed)
     out = args.out or "events.csv"
     eventio.write_events(out, events, header_comment="seed=%d" % args.seed)
-    print(json.dumps({
+    print(_json_line({
         "n_events": len(events),
         "mu0_T": simulator.expected_count(model),
         "theta": model.theta,
@@ -127,7 +143,7 @@ def cmd_detect(args):
     events, file_weights = eventio.read_events(args.events)
     w, theta = _weights(cfg, events, file_weights)
     result = detector.detect(events, w, phase, template, theta=theta, T=model.T)
-    print(result.to_json())
+    print(_json_line(result))
     return 0
 
 
@@ -144,7 +160,7 @@ def cmd_scan(args):
             fh.write("f,fdot,qt,p_value\n")
             for f, fd, q, p in zip(result.f, result.fdot, result.qt, result.p):
                 fh.write("%.17g,%.17g,%.17g,%.17g\n" % (f, fd, q, p))
-    print(json.dumps(result.best))
+    print(_json_line(result.best))
     return 0
 
 
@@ -165,7 +181,7 @@ def cmd_power(args):
         eff_w = auxmodel.weight_efficiency(moments, model.theta)
     pred = power.predicted_snr(model.theta, model.T, model.mu0, eff_w,
                                template, source)
-    print(pred.to_json())
+    print(_json_line(pred))
     if args.out:
         opt = lightcurve.HarmonicTemplate.from_profile(source)
         with open(args.out, "w") as fh:
@@ -174,7 +190,8 @@ def cmd_power(args):
                 zm = lightcurve.HarmonicTemplate.z_test(m)
                 eff = lightcurve.template_efficiency(zm, source)
                 fh.write("%d,%.4f\n" % (m, 100.0 * eff))
-        _err("optimal template: %s" % opt.to_json())
+        _err("optimal template: %s"
+             % _json_line({"m": opt.m, "amps_sq": opt.amps_sq}))
     return 0
 
 
@@ -222,7 +239,7 @@ def cmd_calibrate(args):
             "mean": float(np.mean(scaled[:, k])),
             "ks_p_chi2_2dof": float(ks.pvalue),
         })
-    print(json.dumps({
+    print(_json_line({
         "replicates": n,
         "qt_mean": float(np.mean(qts)),
         "qt_var": float(np.var(qts, ddof=1)),

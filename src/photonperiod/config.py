@@ -220,9 +220,9 @@ class Config:
     def weight(self, theta=None):
         """Build the configured WeightFunction.
 
-        The optimal kinds use weight.theta if set, else the fallback theta,
-        and give None when neither is known.  Kind 'precomputed' has none:
-        its weights are an event file's column.
+        The optimal kinds use weight.theta if set, else the fallback theta;
+        with neither, ConfigError on weight.theta.  Kind 'precomputed' has
+        none: its weights are an event file's column.
         """
         sec, kind, configured = self._weight()
         if kind == "precomputed":
@@ -242,7 +242,7 @@ class Config:
         if kind in ("optimal", "optimal-no-spectrum"):
             th = theta if configured is None else configured
             if th is None:
-                return None
+                raise ConfigError("weight.theta", "kind %r needs a theta" % kind)
             build = (auxmodel.optimal_weight_fn if kind == "optimal"
                      else auxmodel.optimal_no_spectrum_fn)
             return build(th, self.densities())

@@ -18,7 +18,6 @@ accurate to 1e-10 relative down to P_FLOOR (~2.2e-308), below which they are
 0.0.
 """
 
-import json
 import math
 import os
 import queue
@@ -47,26 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionResult:
-    an_sq: np.ndarray  # |A_n|^2, n = 1..m
     qt: float
+    an_sq: np.ndarray  # |A_n|^2, n = 1..m
     sum_w2: float
     p_value: float
-    theta_used: float
+    theta_used: float | None  # None where the weights use no theta
     n_events: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "qt": self.qt,
-                "an_sq": np.asarray(self.an_sq).tolist(),
-                "sum_w2": self.sum_w2,
-                "p_value": self.p_value,
-                # strict JSON: no theta (nan) is null
-                "theta_used": None if math.isnan(self.theta_used)
-                else self.theta_used,
-                "n_events": self.n_events,
-            }
-        )
 
 
 # Events per block of the A_n sum: block edges depend on N alone.
@@ -500,14 +485,13 @@ def event_weights(events, weight_fn, theta=None, densities=None):
     weight_fn: a function w(E, phi), an array of per-event weights, or None
     for the optimal posterior weight at theta_used, from one evaluation of
     both densities at the events that also gives the MLE.
-    theta: known source fraction, or None to take the MLE from the auxiliary
-    data (requires densities); theta_used is nan where there is neither.
+    theta: known source fraction, or None: the optimal weight then takes
+    the MLE from the auxiliary data (requires densities), and a given
+    weight_fn reports theta_used None (densities go unused).
     """
     if weight_fn is not None:
-        if theta is None and densities is not None:
-            theta = estimate_theta(events, densities)
         w = weight_fn(*events.z) if callable(weight_fn) else weight_fn
-        return w, float("nan") if theta is None else float(theta)
+        return w, None if theta is None else float(theta)
     if densities is None:
         raise ValueError("optimal weights need theta (or its MLE) and densities")
     fs, fb = _densities_at(events, densities)

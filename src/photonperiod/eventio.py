@@ -67,11 +67,14 @@ def write_events(path, events, weights=None, header_comment=None):
                 fh.write("# %s\n" % line)
         cols = "time,energy,angle" + (",weight" if weights is not None else "")
         fh.write(cols + "\n")
-        rows = [events.t, events.energy, events.angle]
+        columns = [events.t, events.energy, events.angle]
         if weights is not None:
-            rows.append(np.asarray(weights, dtype=float))
-        for vals in zip(*rows):
-            fh.write(",".join("%.17g" % v for v in vals) + "\n")
+            columns.append(np.asarray(weights, dtype=float))
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        step = 1 << 16  # rows whose values are Python lists at one time
+        for start in range(0, len(events), step):
+            block = (c[start:start + step].tolist() for c in columns)
+            fh.writelines(row % vals for vals in zip(*block))
 
 
 def read_events(path):

@@ -5,7 +5,6 @@ harmonics are implied by conjugate symmetry, so every sum over nonzero
 harmonics carries a factor of two.
 """
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -52,16 +51,9 @@ class HarmonicTemplate:
         return cls(np.ones(m))
 
     @classmethod
-    def rayleigh(cls):
-        return cls.z_test(1)
-
-    @classmethod
     def from_profile(cls, profile):
         """Template proportional to the profile's power spectrum."""
         return cls(np.abs(profile.coeffs) ** 2)
-
-    def to_json(self):
-        return json.dumps({"m": self.m, "amps_sq": self.amps_sq.tolist()})
 
 
 @dataclass(frozen=True)
@@ -115,15 +107,6 @@ class LightCurveProfile:
     def amps_sq(self):
         """|gamma_n|^2 for n = 1..m."""
         return np.abs(self.coeffs) ** 2
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "m": self.m,
-                "eta": self.eta,
-                "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            }
-        )
 
 
 @dataclass(frozen=True)

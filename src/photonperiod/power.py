@@ -23,8 +23,7 @@ The mismatch functions index one Monte Carlo table of the |A_n|^2 excess:
 each replicate is simulated once for every harmonic and offset.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class PowerPrediction:
     theta: float
     T: float
     mu0: float
-
-    def to_json(self):
-        return json.dumps(asdict(self))
 
 
 def _match_ratio(template, source):

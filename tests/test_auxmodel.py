@@ -10,10 +10,10 @@ from photonperiod.auxmodel import (
     DiskGeometry,
     GaussianPsfAngle,
     UniformDiscAngle,
+    WeightFunction,
     correlation_efficiency,
     cut_weight,
     cut_weight_fn,
-    custom_weight,
     optimal_efficiency,
     optimal_no_spectrum_fn,
     optimal_weight,
@@ -575,7 +575,7 @@ class TestEfficiency:
     def test_scale_invariance_exact(self):
         dens = xi1_densities()
         wf = am.psf_gaussian_weight_fn(xi1_geometry())
-        scaled = custom_weight(lambda e, p: 7.3 * wf(e, p))
+        scaled = WeightFunction(lambda e, p: 7.3 * wf(e, p))
         m1 = weight_moments(wf, 0.2, dens)
         m2 = weight_moments(scaled, 0.2, dens)
         e1, e2 = weight_efficiency(m1, 0.2), weight_efficiency(m2, 0.2)
@@ -593,7 +593,7 @@ class TestEfficiency:
             j = np.clip(np.digitize(phi, p_edges[1:-1]), 0, 3)
             return vals.reshape(2, 4)[i, j]
 
-        wf = custom_weight(w)
+        wf = WeightFunction(w)
         theta = 0.2
         direct = weight_efficiency(weight_moments(wf, theta, dens), theta)
         corr = correlation_efficiency(wf, theta, dens)
@@ -625,13 +625,13 @@ class TestEfficiency:
             def w(e, phi, vals=vals):
                 return vals[np.clip(np.digitize(phi, edges[1:-1]), 0, 7)]
 
-            candidates.append(custom_weight(w))
+            candidates.append(WeightFunction(w))
         for wf in candidates:
             eff = weight_efficiency(weight_moments(wf, theta, dens), theta)
             assert eff <= best * (1 + 1e-5)
 
     def test_non_finite_weight_rejected(self):
-        nan_far = custom_weight(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
+        nan_far = WeightFunction(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
         with pytest.raises(ValueError, match="not finite"):
             weight_moments(nan_far, 0.3, xi1_densities())
         with pytest.raises(ValueError, match="not finite"):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import photonperiod
-from photonperiod import (detect, detector, estimate_theta, read_events, scan,
-                          write_events)
-from photonperiod.auxmodel import (AuxDensityPair, custom_weight,
+from photonperiod import (DetectionResult, detect, detector, estimate_theta,
+                          read_events, scan, write_events)
+from photonperiod.auxmodel import (AuxDensityPair, WeightFunction,
                                    cut_weight_fn, optimal_no_spectrum_fn,
                                    optimal_weight_fn, psf_gaussian_weight_fn)
-from photonperiod.cli import main
+from photonperiod.cli import _json_line, main
 from photonperiod.config import Config
 
 
@@ -159,8 +159,9 @@ class TestOnePipeline:
 
     def _library(self, doc, events, weights, theta=None, densities=None):
         cfg = Config(doc)
-        return detect(events, weights, cfg.phase(), cfg.template(), theta=theta,
-                      densities=densities, T=cfg.model().T).to_json()
+        return _json_line(detect(events, weights, cfg.phase(), cfg.template(),
+                                 theta=theta, densities=densities,
+                                 T=cfg.model().T))
 
     def _detect(self, tmp_path, capsys, weight, events=None):
         doc = base_config(weight=weight)
@@ -376,6 +377,39 @@ class TestStrictJson:
                 has_theta = weight["kind"].startswith("optimal")
                 assert (res["theta_used"] is not None) == has_theta
 
+    @pytest.mark.parametrize("theta, printed", [(None, "null"), (0.25, "0.25")])
+    def test_detect_line(self, theta, printed):
+        """A DetectionResult prints its fields in order, arrays as lists and
+        numpy scalars as numbers."""
+        res = DetectionResult(qt=np.float64(12.5), an_sq=np.array([0.25, 3.0]),
+                              sum_w2=7.0, p_value=1e-300, theta_used=theta,
+                              n_events=np.int64(9))
+        assert _json_line(res) == (
+            '{"qt": 12.5, "an_sq": [0.25, 3.0], "sum_w2": 7.0, '
+            '"p_value": 1e-300, "theta_used": %s, "n_events": 9}' % printed)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), np.float64("inf"), np.float32("nan"),
+        np.array([1.0, -np.inf]), [0.5, float("nan")]],
+        ids=["nan", "inf", "float32-nan", "array", "list"])
+    def test_writer_refuses_nan_and_infinity(self, value):
+        with pytest.raises(ValueError):
+            _json_line({"value": value})
+
+    def test_detect_fails_on_a_nan_result(self, tmp_path, capsys, monkeypatch):
+        """detect prints its result through the strict writer: a NaN in it is
+        a runtime failure, not a NaN on stdout."""
+        cfg = write_config(tmp_path, base_config())
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events])
+        nan = DetectionResult(qt=float("nan"), an_sq=np.ones(1), sum_w2=1.0,
+                              p_value=0.5, theta_used=None, n_events=1)
+        monkeypatch.setattr(detector, "detect", lambda *args, **kwargs: nan)
+        code, out, err = run(capsys, ["detect", "--config", cfg,
+                                      "--events", events])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 class TestCountFlags:
     @pytest.mark.parametrize("flag, value", [
@@ -481,7 +515,7 @@ class TestPowerCommand:
         assert pred["efficiency_w"] > 1.0
 
     def test_non_finite_weight_fails(self, tmp_path, capsys, monkeypatch):
-        nan_far = custom_weight(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
+        nan_far = WeightFunction(lambda e, p: np.where(p > 0.5, np.nan, 1.0))
         monkeypatch.setattr(Config, "weight", lambda self, theta=None: nan_far)
         cfg = write_config(tmp_path, base_config(weight={"kind": "custom"}))
         code, out, err = run(capsys, ["power", "--config", cfg])
@@ -579,13 +613,36 @@ class TestCalibrateCommand:
             json.loads(out2)["qt_mean"], rel=1e-12)
 
 
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(photonperiod.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_m_photonperiod(tmp_path):
+    """python -m photonperiod runs the CLI and exits with its code."""
+    cfg = write_config(tmp_path, base_config())
+    events = str(tmp_path / "events.csv")
+    proc = subprocess.run([sys.executable, "-m", "photonperiod", "simulate",
+                           "--config", cfg, "--out", events, "--seed", "3"],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["out"] == events
+    assert doc["n_events"] == len(read_events(events)[0])
+
+
 # Run in a fresh interpreter: the test modules import scipy themselves.  It
 # takes JSON [[argv, ...], [argv, ...]]: the first commands must load no
 # scipy module, the second ones may.  It prints one JSON line.
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
 import photonperiod
-from photonperiod.cli import main
+from photonperiod.cli import _json_line, main
 
 def run(argv):
     out = io.StringIO()
@@ -629,13 +686,10 @@ def test_scipy_loaded_only_where_called(tmp_path):
               ["power", "--config", cut],
               ["detect", "--config", flat, "--events", null]],
              [["power", "--config", psf]]]
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(photonperiod.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS,
-                           json.dumps(steps)], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+                           json.dumps(steps)], env=_package_env(),
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
     got = json.loads(proc.stdout.splitlines()[-1])
     assert [code for code, _ in got["first"] + got["later"]] == [0] * 7
     assert got["scipy"] == []

@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from photonperiod.auxmodel import optimal_weight_fn
+from photonperiod.auxmodel import FlatSpectrum, optimal_weight_fn
 from photonperiod.cli import main
-from photonperiod.config import Config
+from photonperiod.config import Config, ConfigError
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -198,7 +198,19 @@ def test_weight_theta_is_the_configured_else_the_fallback():
     fallback = Config(_doc({}, weight={"kind": "optimal"}))
     assert list(configured.weight(0.9)(*z)) == list(optimal_weight_fn(0.3, dens)(*z))
     assert list(fallback.weight(0.9)(*z)) == list(optimal_weight_fn(0.9, dens)(*z))
-    assert fallback.weight(None) is None
+    with pytest.raises(ConfigError, match="weight.theta"):
+        fallback.weight(None)
+
+
+@pytest.mark.parametrize("spectrum", [{"kind": "flat"}, {}],
+                         ids=["flat", "default-kind"])
+def test_flat_spectrum(spectrum):
+    """A spectrum of kind 'flat', the default kind, is a FlatSpectrum on
+    [e_min, e_max]; the background takes the source's."""
+    spectrum = dict(spectrum, e_min=0.5, e_max=4.0)
+    dens = Config(_doc({"densities.source_spectrum": spectrum})).densities()
+    assert dens.source_energy == FlatSpectrum(0.5, 4.0)
+    assert dens.background_energy == FlatSpectrum(0.5, 4.0)
 
 
 def test_readme_example_reads_in_every_section():

@@ -28,6 +28,7 @@ from photonperiod import (
     weighted_chi2_sf,
 )
 from photonperiod.auxmodel import DiskGeometry, optimal_weight_fn, unit_weight
+from photonperiod.cli import _json_line
 from photonperiod import detector
 from photonperiod.detector import (P_FLOOR, _AN_BLOCK, _canonical, _map_blocks,
                                    _sum_w2)
@@ -594,7 +595,25 @@ class TestDetect:
         theta = estimate_theta(ev, DENS)
         two_step = detect(ev, optimal_weight_fn(theta, DENS), *args,
                           theta=theta, T=100.0)
-        assert res.to_json() == two_step.to_json()
+        assert _json_line(res) == _json_line(two_step)
+
+    @pytest.mark.parametrize("weight_fn", [unit_weight(),
+                                           optimal_weight_fn(0.2, DENS)],
+                             ids=["unit", "optimal"])
+    def test_given_weights_take_no_theta_mle(self, weight_fn):
+        """A weight function with densities and no theta evaluates no density
+        and reports theta_used None: its weights use no MLE."""
+        calls = []
+
+        class Counted:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(DENS, name)
+
+        res = detect(self._events(), weight_fn, PhaseModel(f=5.0),
+                     HarmonicTemplate([1.0]), densities=Counted(), T=100.0)
+        assert calls == []
+        assert res.theta_used is None
 
     def test_null_not_detected(self):
         ev = self._events(theta=0.0, seed=13)
@@ -626,7 +645,7 @@ class TestDetect:
         ev = self._events()
         res = detect(ev, unit_weight(), PhaseModel(f=5.0),
                      HarmonicTemplate([1.0]), theta=0.5, T=100.0)
-        doc = json.loads(res.to_json())
+        doc = json.loads(_json_line(res))
         assert doc["qt"] == res.qt
         assert doc["n_events"] == len(ev)
 

@@ -36,6 +36,29 @@ class TestRoundTrip:
         assert np.array_equal(w, weights)
         assert np.array_equal(back.t, ev.t)
 
+    @pytest.mark.parametrize("weighted, comment, rows", [
+        (False, None, 300), (True, None, 300), (False, "seed=3\nnote", 300),
+        (True, "seed=3\nnote", 300), (True, None, (1 << 16) + 5)],
+        ids=["plain", "weighted", "comment", "weighted-comment", "two-blocks"])
+    def test_bytes_are_the_per_value_join(self, tmp_path, weighted, comment,
+                                          rows):
+        """Each row is its values' "%.17g" joined by commas, on random finite
+        doubles of any sign and exponent, subnormals and 1e300 included."""
+        rng = np.random.default_rng(11)
+        cols = rng.integers(0, 2**64, (4, rows), dtype=np.uint64).view(float)
+        cols[~np.isfinite(cols)] = 1.0
+        cols[:, :4] = [5e-324, 1e300, -0.0, 0.1]  # in every column
+        cols = list(cols if weighted else cols[:3])
+        path = tmp_path / "ev.csv"
+        write_events(path, EventList(*cols[:3]),
+                     weights=cols[3] if weighted else None,
+                     header_comment=comment)
+        want = "".join("# %s\n" % line for line in (comment or "").splitlines())
+        want += "time,energy,angle" + (",weight" if weighted else "") + "\n"
+        want += "".join(",".join("%.17g" % v for v in row) + "\n"
+                        for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
+
     def test_header_comment_preserved_on_read(self, tmp_path):
         ev = make_events(n=3)
         path = tmp_path / "ev.csv"

@@ -13,6 +13,7 @@ from photonperiod import (
 )
 from photonperiod import power
 from photonperiod.auxmodel import DiskGeometry
+from photonperiod.cli import _json_line
 from photonperiod.detector import fourier_coefficients
 from photonperiod.power import fit_mismatch_kappa, mismatch_scan
 from photonperiod.simulator import expected_count, simulate
@@ -76,7 +77,7 @@ class TestPredictedSnr:
     def test_json(self):
         import json
         res = predicted_snr(0.1, 100.0, 5.0, 1.0, TPL, SRC)
-        doc = json.loads(res.to_json())
+        doc = json.loads(_json_line(res))
         assert doc["snr"] == res.snr
         assert doc["theta"] == 0.1
 
