@@ -236,14 +236,14 @@ def cmd_calibrate(args):
         ks = kstest(scaled[:, k], chi2(df=2).cdf)
         per_harmonic.append({
             "n": k + 1,
-            "mean": float(np.mean(scaled[:, k])),
-            "ks_p_chi2_2dof": float(ks.pvalue),
+            "mean": np.mean(scaled[:, k]),
+            "ks_p_chi2_2dof": ks.pvalue,
         })
     print(_json_line({
         "replicates": n,
-        "qt_mean": float(np.mean(qts)),
-        "qt_var": float(np.var(qts, ddof=1)),
-        "p_value_ks_uniform_p": float(ks_p_uniform),
+        "qt_mean": np.mean(qts),
+        "qt_var": np.var(qts, ddof=1),
+        "p_value_ks_uniform_p": ks_p_uniform,
         "per_harmonic": per_harmonic,
     }))
     return 0
