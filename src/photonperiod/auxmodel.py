@@ -11,12 +11,14 @@ over all of its new energy nodes.  An interval is split around its largest
 step between neighbouring nodes, at the midpoints of the node gaps on either
 side of it (never at a node next to it, where a cut edge could hide in the
 child's end gap), so a cut edge is found in a few passes, not one bisection
-per bit.  Before the integrals, a probe reads the weight on a coarse (E, phi)
-grid whose end probes lie 1e-9 of the width inside the ends, and narrows
-each bracket where a value jumps to within floating-point resolution
-(_breakpoints).  The jumps found at one place on two probe lines and the
-ends of the densities' supports are the integrals' breakpoints, so a cut
-converges in the passes a smooth weight takes, and an edge in an end gap,
+per bit.  Both integrals start from breakpoints: the ends of the densities'
+supports and the weight's jumps, so a cut converges in the passes a smooth
+weight takes (QUADPACK's dqagp).  A cut weight carries its edges
+(WeightFunction.jumps).  Any other weight is probed for them first: the
+probe reads the weight on a coarse (E, phi) grid whose end probes lie 1e-9
+of the width inside the ends, and narrows each bracket where a value jumps
+to within floating-point resolution (_breakpoints).  The jumps it finds at
+one place on two probe lines are breakpoints, so an edge in an end gap,
 which no node of the first pass sees, is found unless it lies within the
 probe's end offset.
 """
@@ -159,9 +161,10 @@ def _integral(fn, a, b, points=()):
     QuadratureError where the error is not finite, an interval can no longer
     be split in floating point or the intervals would pass _MAX_INTERVALS.
     """
-    points = np.asarray(points, dtype=float)
-    edges = np.concatenate([[a], np.unique(points[(a < points) & (points < b)]),
-                            [b]])
+    points = np.sort(np.asarray(points, dtype=float))
+    inside = points[(a < points) & (points < b)]
+    # each once, without np.unique, whose first call imports numpy.ma
+    edges = np.concatenate([[a], inside[np.diff(inside, prepend=a) > 0], [b]])
     lo, hi = edges[:-1], edges[1:]
     est, err, step, shape = _gauss_kronrod(fn, lo, hi)
     while True:
@@ -237,10 +240,14 @@ class PowerLawSpectrum:
         return (self.e_min, self.e_max)
 
     def _norm(self):
+        """The integral of E^-index over the support, accurate at every
+        index: e_max^g - e_min^g would lose the digits that expm1 keeps
+        near index 1."""
         g = 1.0 - self.index
-        if abs(g) < 1e-12:
-            return np.log(self.e_max / self.e_min)
-        return (self.e_max**g - self.e_min**g) / g
+        log_ratio = np.log(self.e_max / self.e_min)
+        if g == 0:
+            return log_ratio
+        return self.e_min**g * np.expm1(g * log_ratio) / g
 
     def pdf(self, e):
         e = np.asarray(e, dtype=float)
@@ -353,7 +360,13 @@ class CustomAngle:
 
 @dataclass(frozen=True)
 class AuxDensityPair:
-    """Factorized source and background densities of z = (E, phi)."""
+    """Factorized source and background densities of z = (E, phi).
+
+    FlatSpectrum, PowerLawSpectrum, GaussianPsfAngle and UniformDiscAngle
+    are normalized in closed form.  A CustomSpectrum must integrate to 1
+    over its support, and a CustomAngle at 5 energies across its energy
+    marginal's support, each within 1e-6, or ValueError is raised.
+    """
 
     source_energy: object
     source_angle: object
@@ -363,9 +376,13 @@ class AuxDensityPair:
     def __post_init__(self):
         for marg, cond in ((self.source_energy, self.source_angle),
                            (self.background_energy, self.background_angle)):
-            total = _integral(marg.pdf, *marg.support)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError("energy marginal integrates to %.8f, not 1" % total)
+            if isinstance(marg, CustomSpectrum):
+                total = _integral(marg.pdf, *marg.support)
+                if abs(total - 1.0) > 1e-6:
+                    raise ValueError("energy marginal integrates to %.8f, not 1"
+                                     % total)
+            if not isinstance(cond, CustomAngle):
+                continue
             nodes = np.linspace(*marg.support, 5)
             totals = _integral(
                 lambda p: cond.pdf(*np.broadcast_arrays(p[:, None], nodes)),
@@ -449,9 +466,18 @@ class DiskGeometry:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Event weight w(E, phi) on float arrays."""
+    """Event weight w(E, phi) on float arrays.
+
+    jumps, ((energies), (angles)), are where w may step, each at one place
+    whatever the other variable: weight_moments' integrals start from them.
+    Each is the least float at which w takes its value above the step, where
+    the probe would locate it, so that the moments equal those of w probed.
+    None where they are not known, and the integrals probe w for its jumps
+    (_breakpoints).
+    """
 
     fn: callable
+    jumps: tuple = None
 
     def __call__(self, e, phi):
         return np.asarray(self.fn(np.asarray(e, dtype=float),
@@ -574,7 +600,11 @@ def cut_weight_fn(e_lo=-np.inf, e_hi=np.inf, phi_max=np.inf):
     cut = {"e_lo": e_lo, "e_hi": e_hi, "phi_max": phi_max}
     if e_lo > e_hi:
         raise ValueError("cut has e_lo > e_hi")
-    return WeightFunction(lambda e, phi: cut_weight((e, phi), cut))
+    # the closed upper edges step just above themselves
+    jumps = tuple(tuple(float(x) for x in edges if np.isfinite(x))
+                  for edges in ((e_lo, np.nextafter(e_hi, np.inf)),
+                                (np.nextafter(phi_max, np.inf),)))
+    return WeightFunction(lambda e, phi: cut_weight((e, phi), cut), jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +669,10 @@ def _breakpoints(values, ranges, ends):
     weight call cuts every candidate's bracket into _SECTIONS and keeps the
     piece of the largest difference while that difference is at least half
     the bracket's: a jump's difference stays, a smooth function's shrinks
-    _SECTIONS-fold, and such a candidate is dropped.  A bracket within
-    _SECTIONS floating-point steps is a jump, at its midpoint.  A jump is a
+    _SECTIONS-fold, and such a candidate is dropped.  A bracket of two
+    neighbouring floats is a jump, at its upper float: the least at which g
+    takes its value above the jump, as WeightFunction.jumps gives it, so
+    that a cut probed and a cut given have the same breakpoints.  A jump is a
     breakpoint where two probe lines find it at the same place, so that it
     holds across the other axis, or where one line finds it and the lines
     beside it none, so that it bounds a band too narrow for two lines; unless
@@ -685,9 +717,8 @@ def _breakpoints(values, ranges, ends):
         rows, j = np.arange(lo.size), np.argmax(d, axis=1)
         keep = d[rows, j] >= 0.5 * diff
         lo, hi, diff = t[rows, j], t[rows, j + 1], d[rows, j]
-        located = keep & (hi - lo <= _SECTIONS * np.spacing(
-            np.maximum(np.abs(lo), np.abs(hi))))
-        found.append((axis[located], line[located], 0.5 * (lo + hi)[located]))
+        located = keep & (hi <= np.nextafter(lo, np.inf))
+        found.append((axis[located], line[located], hi[located]))
         keep &= ~located
         axis, line, lo, hi, diff = (x[keep] for x in (axis, line, lo, hi, diff))
     found_axis, found_line, found_at = map(np.concatenate, zip(*found))
@@ -708,16 +739,17 @@ def _breakpoints(values, ranges, ends):
     return points
 
 
-def _expectations(g, densities):
+def _expectations(g, densities, jumps=None):
     """Integrals of g(E, phi) against f_B (row 0) and f_S (row 1), in one pass.
 
     g maps node arrays (e, phi) to a sequence of k value arrays.  The outer
     integral runs over the union of the energy supports; each of its passes
     takes one inner integral over [0, max r_max] for all of its new nodes.
-    Both start from the pieces between their breakpoints (_breakpoints): the
-    ends of the densities' supports and the jumps of g, so a cut's edges are
-    found once, not hunted by every integral.  g is evaluated not where both
-    densities vanish.  Returns shape (2, k).
+    Both start from the pieces between their breakpoints: the ends of the
+    densities' supports and the jumps of g, ((energies), (angles)) as in
+    WeightFunction.jumps, or where jumps is None those the probe finds
+    (_breakpoints), so a cut's edges are not hunted by every integral.  g is
+    evaluated not where both densities vanish.  Returns shape (2, k).
     """
     pdfs = (densities.pdf_background, densities.pdf_source)
     lows, highs = zip(densities.background_energy.support,
@@ -748,9 +780,12 @@ def _expectations(g, densities):
         prod = dens.T[:, :, None] * vals.T[:, None, :]
         return prod.reshape(grid_e.shape + prod.shape[1:])
 
-    e_points, phi_points = _breakpoints(
-        lambda e, phi: weight_values(e, phi)[1:], (e_range, phi_range),
-        (lows + highs, r_maxes))
+    ends = (lows + highs, r_maxes)
+    if jumps is None:
+        e_points, phi_points = _breakpoints(
+            lambda e, phi: weight_values(e, phi)[1:], (e_range, phi_range), ends)
+    else:
+        e_points, phi_points = (end + tuple(jump) for end, jump in zip(ends, jumps))
     return _integral(
         lambda e: _integral(lambda phi: integrand(phi, e), *phi_range, phi_points),
         *e_range, e_points)
@@ -758,15 +793,17 @@ def _expectations(g, densities):
 
 def weight_moments(w, theta, densities):
     """beta1, beta2, zeta1, zeta2 by nested adaptive Gauss-Kronrod integrals
-    (_integral), one call of w per pass of the inner angle integral, after
-    one call of w per step of the probe for its jumps (_breakpoints)."""
+    (_integral), one call of w per pass of the inner angle integral, from
+    w's jumps where it carries them (WeightFunction.jumps), else after one
+    call of w per step of the probe for them (_breakpoints)."""
 
     def g(e, p):
         v = w(e, p)
         return v, v * v
 
     # rows (beta1, beta2) and (zeta1, zeta2), in WeightMoments' field order
-    return WeightMoments(*_expectations(g, densities).ravel().tolist(), theta)
+    moments = _expectations(g, densities, getattr(w, "jumps", None))
+    return WeightMoments(*moments.ravel().tolist(), theta)
 
 
 def weight_efficiency(m, theta):

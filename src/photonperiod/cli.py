@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -214,7 +213,9 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
 
 
 def cmd_calibrate(args):
-    # imported here: no other subcommand loads scipy
+    # imported here: no other subcommand loads scipy or a process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     from scipy.stats import chi2, kstest
     cfg = load_config(args.config)
     n, threads = args.replicates, args.threads

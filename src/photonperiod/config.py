@@ -191,7 +191,7 @@ class Config:
                 alpha_rate=geo.number("alpha_rate"), sigma=geo.number("sigma"))
 
     def densities(self):
-        """The AuxDensityPair, built (and its normalization checked) once."""
+        """The AuxDensityPair, built once."""
         if self._densities is not None:
             return self._densities
         sec = self._root.section("densities")

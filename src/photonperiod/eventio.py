@@ -61,15 +61,21 @@ _READ_ROWS = 1 << 15
 
 
 def write_events(path, events, weights=None, header_comment=None):
+    """Write events, and a weight per event if given, as CSV rows of 17
+    significant digits.  ValueError, before the file is opened, where
+    weights is not one value per event."""
+    columns = [events.t, events.energy, events.angle]
+    if weights is not None:
+        columns.append(np.asarray(weights, dtype=float))
+        if columns[-1].shape != (len(events),):
+            raise ValueError("weights of shape %s for %d events"
+                             % (columns[-1].shape, len(events)))
     with open(path, "w") as fh:
         if header_comment:
             for line in header_comment.splitlines():
                 fh.write("# %s\n" % line)
         cols = "time,energy,angle" + (",weight" if weights is not None else "")
         fh.write(cols + "\n")
-        columns = [events.t, events.energy, events.angle]
-        if weights is not None:
-            columns.append(np.asarray(weights, dtype=float))
         row = ",".join(["%.17g"] * len(columns)) + "\n"
         step = 1 << 16  # rows whose values are Python lists at one time
         for start in range(0, len(events), step):

@@ -224,17 +224,30 @@ def cut_moments_closed_form(sigma, e_lo, phi_max, R=5.0, index_s=2.0,
     return band(index_b) * (phi_max / R) ** 2, band(index_s) * psf
 
 
+def bare(wf):
+    """wf as a bare callable, which carries no jumps: the integrals probe it."""
+    return lambda e, p: wf(e, p)
+
+
+# a cut weight as built, its edges given to the integrals, and as a bare
+# callable, its edges found by the probe
+WEIGHT_FORMS = pytest.mark.parametrize(
+    "form", [lambda wf: wf, bare], ids=["weight-function", "bare-callable"])
+
+
 class TestCutClosedForm:
+    @WEIGHT_FORMS
     @pytest.mark.parametrize("sigma, e_lo, phi_max", [
         (1.0, 4.3, 2.0),    # the benchmark's power densities and cut
         (0.1, 1.37, 0.23),  # a narrow PSF with the cut edges inside its core
     ])
-    def test_moments_and_efficiency(self, sigma, e_lo, phi_max):
+    def test_moments_and_efficiency(self, sigma, e_lo, phi_max, form):
         theta = 0.1
         dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
                             sigma=sigma).density_pair(
             am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))
-        m = weight_moments(cut_weight_fn(e_lo=e_lo, phi_max=phi_max), theta, dens)
+        m = weight_moments(form(cut_weight_fn(e_lo=e_lo, phi_max=phi_max)),
+                           theta, dens)
         beta1, zeta1 = cut_moments_closed_form(sigma, e_lo, phi_max)
         eff = zeta1**2 / ((1.0 - theta) * beta1 + theta * zeta1)
         assert m.beta1 == pytest.approx(beta1, rel=1e-8, abs=0)
@@ -243,18 +256,20 @@ class TestCutClosedForm:
         assert m.zeta2 == pytest.approx(zeta1, rel=1e-8, abs=0)
         assert weight_efficiency(m, theta) == pytest.approx(eff, rel=1e-8, abs=0)
 
+    @WEIGHT_FORMS
     @pytest.mark.parametrize("cut", [
         {"phi_max": 0.01}, {"e_lo": 4.995},
         {"e_lo": 4.9, "phi_max": 0.01}, {"e_lo": 4.99, "phi_max": 0.01},
     ], ids=["phi_max=0.01", "e_lo=4.995", "e_lo=4.9,phi_max=0.01",
             "e_lo=4.99,phi_max=0.01"])
-    def test_edges_in_the_end_gaps_of_the_first_intervals(self, cut):
+    def test_edges_in_the_end_gaps_of_the_first_intervals(self, cut, form):
         """Edges outside the outermost Kronrod nodes of [0, 5] (0.0109) and
         of [1, 5] (4.9913), which no node of the integrals' first pass
-        sees: the probe finds them from the weight's values.  In the last
-        two cuts each edge bounds a band that one probe line alone crosses."""
+        sees: the cut weight hands them to the integrals, and the probe
+        finds them from the bare callable's values.  In the last two cuts
+        each edge bounds a band that one probe line alone crosses."""
         theta = 0.1
-        m = weight_moments(cut_weight_fn(**cut), theta,
+        m = weight_moments(form(cut_weight_fn(**cut)), theta,
                            benchmark_power_densities())
         beta1, zeta1 = cut_moments_closed_form(
             1.0, cut.get("e_lo", 1.0), cut.get("phi_max", 5.0))
@@ -271,6 +286,30 @@ class TestCutClosedForm:
         wf = cut_weight_fn(e_lo=2.2, phi_max=2.0)
         assert weight_moments(lambda e, p: wf(e, p), 0.2, dens) == \
             weight_moments(wf, 0.2, dens)
+
+    @pytest.mark.parametrize("cut", [
+        {"phi_max": 2.0}, {"e_lo": 4.3, "phi_max": 2.0},
+        {"e_lo": 1.5, "e_hi": 3.25, "phi_max": 0.7}, {"e_hi": np.pi},
+    ], ids=["angle", "energy-angle", "band", "e_hi=pi"])
+    def test_probed_edges_are_the_given_ones(self, cut):
+        """The probe locates each edge at the float the cut's jumps give,
+        the least past its step, closed upper edges included: a bare
+        callable's moments equal the WeightFunction's bit for bit."""
+        wf = cut_weight_fn(**cut)
+        dens = benchmark_power_densities()
+        assert weight_moments(bare(wf), 0.1, dens) == weight_moments(wf, 0.1, dens)
+
+    def test_edge_within_the_probe_end_offset(self):
+        """E >= 5 - 3e-9: within the probe's end offset of the end of [1, 5],
+        where no probe sees the edge.  The cut hands it to the integrals."""
+        theta = 0.1
+        m = weight_moments(cut_weight_fn(e_lo=5.0 - 3e-9), theta,
+                           benchmark_power_densities())
+        beta1, zeta1 = cut_moments_closed_form(1.0, 5.0 - 3e-9, 5.0)
+        for got, exact in ((m.beta1, beta1), (m.beta2, beta1),
+                           (m.zeta1, zeta1), (m.zeta2, zeta1)):
+            assert abs(got - exact) <= am._ATOL + am._RTOL * exact
+        assert np.isfinite(weight_efficiency(m, theta))
 
 
 def benchmark_power_densities():
@@ -355,9 +394,9 @@ class TestIntegral:
 
     def test_benchmark_energy_angle_cut_calls(self):
         """The power benchmark's E >= 4.3, phi <= 2 cut: one weight call per
-        step of the probe for jumps, then one per inner pass over all the
-        energy nodes of an outer pass.  11 calls, bounded with a margin of 5
-        for probe steps that floating point may add."""
+        inner pass over all the energy nodes of an outer pass, from the
+        cut's edges.  1 call; the bound, kept from the probe's 11 calls and
+        its margin of 5, still holds the 12 of a bare callable, probed."""
         assert benchmark_weight_calls(cut_weight_fn(e_lo=4.3, phi_max=2.0)) <= 16
 
     @pytest.mark.parametrize("weight, most", [
@@ -366,9 +405,10 @@ class TestIntegral:
         (lambda: optimal_weight_fn(0.1, benchmark_power_densities()), 8),
     ], ids=["angle-cut", "psf", "optimal"])
     def test_benchmark_weight_calls(self, weight, most):
-        """The benchmark's other weights: 12, 5 and 5 calls.  The bounds are
-        at most twice the 22, 4 and 4 calls taken without the probe, so it
-        costs a smooth weight at most as many calls again."""
+        """The benchmark's other weights: 2, 5 and 5 calls, the angle cut
+        from its edge and the smooth weights after the probe.  The bounds
+        are at most twice the 22, 4 and 4 calls taken with neither edges nor
+        probe, so the probe costs a smooth weight at most as many again."""
         assert benchmark_weight_calls(weight()) <= most
 
 
@@ -381,7 +421,8 @@ def benchmark_weight_calls(wf):
         calls.append(np.size(e))
         return wf(e, phi)
 
-    m = weight_moments(counted, 0.1, benchmark_power_densities())
+    m = weight_moments(WeightFunction(counted, wf.jumps), 0.1,
+                       benchmark_power_densities())
     assert m == weight_moments(wf, 0.1, benchmark_power_densities())
     return len(calls)
 
@@ -666,6 +707,41 @@ class TestDensities:
                              e_min=0.0, e_max=1.0)
         with pytest.raises(ValueError, match="integrates"):
             AuxDensityPair(bad, uniform_angles(), bad, uniform_angles())
+
+    def test_unnormalized_custom_angle_rejected(self):
+        spec = am.PowerLawSpectrum(2.0, 1.0, 5.0)
+        # integrates to 1 at E = 1 only
+        bad = CustomAngle(pdf_fn=lambda phi, e: np.where(phi <= 1.0, e, 0.0),
+                          sampler=lambda rng, e: rng.uniform(0, 1, np.shape(e)),
+                          r_max=1.0)
+        with pytest.raises(ValueError, match="angle conditional at E=2 "
+                                             "integrates to 2.00000000"):
+            AuxDensityPair(spec, uniform_angles(), spec, bad)
+
+    @pytest.mark.parametrize("marginal", [
+        am.FlatSpectrum(0.1, 10.0),
+        *(am.PowerLawSpectrum(index, 1.0, 5.0)
+          for index in (1.0 - 2e-12, 1.0, 1.0 + 2e-12, 1.0 + 1e-11,
+                        1.0 + 1e-9, 2.0, 2.7)),
+    ], ids=lambda m: "%s(%r)" % (type(m).__name__, getattr(m, "index", "")))
+    def test_closed_form_energy_marginals_integrate_to_one(self, marginal):
+        """Built without a numeric check, so each must be normalized: also
+        power laws within 1e-11 of index 1, where E^g - 1 loses digits."""
+        AuxDensityPair(marginal, uniform_angles(), marginal, uniform_angles())
+        assert abs(am._integral(marginal.pdf, *marginal.support) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("angle", [
+        UniformDiscAngle(5.0), GaussianPsfAngle(1.0, 5.0),
+        GaussianPsfAngle(lambda e: 0.2 + 0.1 * np.asarray(e), 5.0),
+    ], ids=["uniform-disc", "psf", "psf-sigma(E)"])
+    def test_closed_form_angle_conditionals_integrate_to_one(self, angle):
+        spec = am.PowerLawSpectrum(2.0, 1.0, 5.0)
+        AuxDensityPair(spec, angle, spec, angle)
+        e = np.linspace(1.0, 5.0, 9)
+        totals = am._integral(
+            lambda p: angle.pdf(*np.broadcast_arrays(p[:, None], e)),
+            0.0, angle.r_max)
+        assert np.all(np.abs(totals - 1.0) <= 1e-12)
 
     def test_geometry_derived_quantities(self):
         geom = xi1_geometry()

@@ -638,7 +638,8 @@ def test_python_m_photonperiod(tmp_path):
 
 # Run in a fresh interpreter: the test modules import scipy themselves.  It
 # takes JSON [[argv, ...], [argv, ...]]: the first commands must load no
-# scipy module, the second ones may.  It prints one JSON line.
+# scipy module, numpy.ma or process pool, the second ones may.  It prints
+# one JSON line.
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
 import photonperiod
@@ -654,7 +655,9 @@ lean, later = json.loads(sys.argv[1])
 first = [run(argv) for argv in lean]
 scipy = sorted(k for k in sys.modules
                if k == "scipy" or k.startswith("scipy."))
-print(json.dumps({"first": first, "scipy": scipy,
+unneeded = [k for k in ("numpy.ma", "concurrent.futures.process")
+            if k in sys.modules]
+print(json.dumps({"first": first, "scipy": scipy, "unneeded": unneeded,
                   "later": [run(argv) for argv in later]}))
 """
 
@@ -662,9 +665,11 @@ print(json.dumps({"first": first, "scipy": scipy,
 def test_scipy_loaded_only_where_called(tmp_path):
     """Importing the package and running simulate, detect (optimal weights,
     theta by MLE, a non-flat template and a flat one), scan and power with a
-    cut weight loads no scipy module.  The flat template's detect gives the
-    values it gave with scipy's chi-square tail, and a power with the PSF
-    weight, which does use scipy, gives the value it gave before."""
+    cut weight loads no scipy module, and neither numpy.ma (which numpy's
+    np.unique imports) nor the process pool of calibrate --threads.  The
+    flat template's detect gives the values it gave with scipy's chi-square
+    tail, and a power with the PSF weight, which does use scipy, gives the
+    value it gave before."""
     lean = base_config(weight={"kind": "optimal"},
                        template={"amps_sq": [1.0, 0.25]},
                        scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2})
@@ -693,6 +698,7 @@ def test_scipy_loaded_only_where_called(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert [code for code, _ in got["first"] + got["later"]] == [0] * 7
     assert got["scipy"] == []
+    assert got["unneeded"] == []
     detect_flat, power_psf = (json.loads(out) for _, out in
                               (got["first"][-1], got["later"][0]))
     assert detect_flat["n_events"] == 10155

@@ -36,6 +36,16 @@ class TestRoundTrip:
         assert np.array_equal(w, weights)
         assert np.array_equal(back.t, ev.t)
 
+    @pytest.mark.parametrize("weights", [np.ones(4), np.ones(11),
+                                         np.ones((10, 1)), 1.0],
+                             ids=["fewer", "more", "column", "scalar"])
+    def test_weights_not_one_per_event_rejected(self, tmp_path, weights):
+        """Rows were zipped: 10 events with 4 weights were written as 4."""
+        path = tmp_path / "ev.csv"
+        with pytest.raises(ValueError, match="for 10 events"):
+            write_events(path, make_events(n=10), weights=weights)
+        assert not path.exists()
+
     @pytest.mark.parametrize("weighted, comment, rows", [
         (False, None, 300), (True, None, 300), (False, "seed=3\nnote", 300),
         (True, "seed=3\nnote", 300), (True, None, (1 << 16) + 5)],
