@@ -214,11 +214,14 @@ def estimate_theta(z_values, densities, tol=1e-8):
     is concave, so its score sum_j d_j / D_j decreases in theta: the MLE is 0
     where the score at 0 is <= 0, 1 where the score at 1 is >= 0, and
     otherwise the score's root.  The root is found by Newton's method, with
-    Hessian -sum_j (d_j / D_j)^2, inside a sign bracket.  It starts from the
-    MLE of every 64th observation, found the same way to 1e-4, when there
-    are at least 4096 observations and f_S and f_B differ on those; else
-    from 1/2.  The score at 0 or 1 is evaluated only where an iterate would
-    leave the bracket through that end, or the bracket closes against it.
+    Hessian -sum_j (d_j / D_j)^2, inside a sign bracket.  Each pass over the
+    observations (_score) sums the score and the Hessian by numpy's pairwise
+    sum per fixed block, with no BLAS call, so the MLE's bits depend on no
+    thread count.  It starts from the MLE of every 64th observation, found
+    the same way to 1e-4, when there are at least 4096 observations and f_S
+    and f_B differ on those; else from 1/2.  The score at 0 or 1 is
+    evaluated only where an iterate would leave the bracket through that
+    end, or the bracket closes against it.
     The bracket is bisected instead where a Newton step would leave it
     through an evaluated end, or where the Newton step before did not halve
     |score|; so, but for the first step after each bisection, every step
@@ -263,20 +266,28 @@ def _identifiable(diff, fb):
     return False
 
 
-def _score(diff, fb, theta, buf):
+def _score(diff, fb, theta):
     """The score sum_j d_j / D_j at theta and its Newton step, score /
-    sum_j (d_j / D_j)^2: one pass over the observations, D and d / D formed
-    per _AN_BLOCK-event block in buf."""
-    s = h = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, diff.size, _AN_BLOCK):
-            d = diff[start:start + _AN_BLOCK]
-            r = buf[:d.size]
-            np.multiply(d, theta, out=r)
-            r += fb[start:start + _AN_BLOCK]  # D
+    sum_j (d_j / D_j)^2: one pass over the observations on the fixed
+    _AN_BLOCK-event blocks of _map_blocks.  Each block's two sums are
+    numpy's pairwise sums, added in block order, so no BLAS call is made
+    and the bits do not depend on any thread count."""
+
+    def block_sums(_, b):
+        d = diff[b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = d * theta
+            r += fb[b]  # D
             np.divide(d, r, out=r)
-            s += np.sum(r)
-            h += r @ r
+            s = np.sum(r)
+            r *= r
+            return s, np.sum(r)
+
+    s = h = 0.0
+    for block_s, block_h in _map_blocks(block_sums, diff.size):
+        s += block_s
+        h += block_h
+    with np.errstate(divide="ignore", invalid="ignore"):
         return s, s / h
 
 
@@ -295,24 +306,23 @@ def _theta_mle(fs, fb, tol=1e-8):
     diff = fs - fb
     if not _identifiable(diff, fb):
         raise ValueError("theta not identifiable: f_S = f_B at every observation")
-    buf = np.empty(min(diff.size, _AN_BLOCK))
     start = 0.5
     if diff.size >= _SUBSAMPLE_MIN:
         sub_diff = np.ascontiguousarray(diff[::_SUBSAMPLE])
         sub_fb = np.ascontiguousarray(fb[::_SUBSAMPLE])
         if _identifiable(sub_diff, sub_fb):
-            start = _newton(sub_diff, sub_fb, start, _START_TOL, buf)
-    return _newton(diff, fb, start, tol, buf)
+            start = _newton(sub_diff, sub_fb, start, _START_TOL)
+    return _newton(diff, fb, start, tol)
 
 
-def _newton(diff, fb, theta, tol, buf):
+def _newton(diff, fb, theta, tol):
     """The score's root in [0, 1] from theta, or the end where the score
     does not change sign (estimate_theta)."""
     lo, hi = 0.0, 1.0  # score(lo) > 0 > score(hi) where evaluated
     lo_seen = hi_seen = False
     bound = np.inf
     while True:
-        s, newton = _score(diff, fb, theta, buf)
+        s, newton = _score(diff, fb, theta)
         if s > 0:
             if theta == 1.0:
                 return 1.0
@@ -504,7 +514,7 @@ def event_weights(events, weight_fn, theta=None, densities=None):
     w_theta = _weight_theta(theta_used)
 
     def weights(_, b):
-        w[b] = _posterior(w_theta, fs[b], fb[b])
+        _posterior(w_theta, fs[b], fb[b], out=w[b])
 
     _map_blocks(weights, w.size)
     return w, theta_used

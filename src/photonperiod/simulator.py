@@ -142,8 +142,13 @@ def simulate(model, densities, tau=0.0, seed=0):
     lam_max = model.rate_bound()
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    rng_arrival, rng_accept, rng_label, rng_z = map(np.random.default_rng,
-                                                    seed.spawn(4))
+    # the children a first seed.spawn(4) gives, without advancing seed's
+    # count of spawned children: a second call with seed draws the same
+    rng_arrival, rng_accept, rng_label, rng_z = (
+        np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (i,),
+            pool_size=seed.pool_size))
+        for i in range(4))
 
     n_cand = rng_arrival.poisson(lam_max * model.T)
     t_cand = np.sort(rng_arrival.uniform(0.0, model.T, size=n_cand))

@@ -1,5 +1,7 @@
 import collections
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -335,10 +337,10 @@ def score_passes(monkeypatch):
         passes = []
         score = detector._score
 
-        def counted(diff, fb, theta, buf):
+        def counted(diff, fb, theta):
             if diff.size == n:
                 passes.append(theta)
-            return score(diff, fb, theta, buf)
+            return score(diff, fb, theta)
 
         monkeypatch.setattr(detector, "_score", counted)
         return passes
@@ -385,6 +387,37 @@ class TestThetaPasses:
         theta = estimate_theta((fs, fb), Ratios())
         assert passes[0] == 0.5
         assert abs(theta - _score_root(fs, fb)) < 1e-12
+
+
+# Prints the score and Newton step of _score at four thetas, as float hex,
+# on 2e5 observations (four blocks of _AN_BLOCK events).
+_SCORE_BITS = """
+import numpy as np
+from photonperiod import detector
+rng = np.random.default_rng(0)
+fb = rng.uniform(0.5, 2.0, 200_000)
+diff = rng.uniform(0.0, 2.0, fb.size) - fb
+for theta in (0.0, 0.1, 0.37, 0.9):
+    print(*(float(x).hex() for x in detector._score(diff, fb, theta)))
+"""
+
+
+def test_score_bits_do_not_depend_on_openblas_threads():
+    """The score passes make no BLAS call, so their sums have the same bits
+    whatever OpenBLAS's thread count."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(detector.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _SCORE_BITS], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 4
+    assert outs[0] == outs[1]
 
 
 def _partial_fraction_sf(q, lam):

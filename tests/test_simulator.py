@@ -198,6 +198,37 @@ class TestReproducibility:
         b = simulate(m, DENS, seed=np.random.SeedSequence(77))
         assert np.array_equal(a.t, b.t)
 
+    def test_one_seed_sequence_object_twice(self):
+        """simulate does not advance the SeedSequence it is given: a second
+        call with the same object draws the same events, the ones a fresh
+        SeedSequence of the same entropy and spawn key draws."""
+        m = make_model(100.0, 0.4, 20.0)
+        for seed in (np.random.SeedSequence(77),
+                     np.random.SeedSequence(77).spawn(3)[2]):
+            fresh = np.random.SeedSequence(seed.entropy,
+                                           spawn_key=seed.spawn_key)
+            a = simulate(m, DENS, seed=seed)
+            b = simulate(m, DENS, seed=seed)
+            c = simulate(m, DENS, seed=fresh)
+            for x, y in ((a, b), (a, c)):
+                assert np.array_equal(x.t, y.t)
+                assert np.array_equal(x.energy, y.energy)
+                assert np.array_equal(x.angle, y.angle)
+                assert np.array_equal(x.is_source, y.is_source)
+            assert seed.n_children_spawned == 0
+
+    def test_streams_are_the_first_four_spawned_children(self):
+        """The arrival and accept streams are the first two children that
+        spawn(4) gives, so calibrate's replicates keep their events."""
+        m = make_model(100.0, 0.4, 20.0)
+        a = simulate(m, DENS, seed=np.random.SeedSequence(91).spawn(2)[1])
+        children = np.random.SeedSequence(91).spawn(2)[1].spawn(4)
+        arrival, accept = map(np.random.default_rng, children[:2])
+        n_cand = arrival.poisson(m.rate_bound() * m.T)
+        t_cand = np.sort(arrival.uniform(0.0, m.T, size=n_cand))
+        keep = accept.uniform(size=n_cand) * m.rate_bound() < m.rate(t_cand)
+        assert np.array_equal(a.t, t_cand[keep])
+
     def test_different_seeds_differ(self):
         m = make_model(100.0, 0.4, 20.0)
         a = simulate(m, DENS, seed=0)
