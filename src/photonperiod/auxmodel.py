@@ -201,21 +201,6 @@ def _integral(fn, a, b, points=()):
 # ---------------------------------------------------------------------------
 
 
-def _outside(x, lo, hi):
-    """None where every x lies in [lo, hi], as a min/max check finds, else
-    the mask of the points that do not (nan among them)."""
-    if x.size == 0 or (x.min() >= lo and x.max() <= hi):
-        return None
-    return ~((x >= lo) & (x <= hi))
-
-
-def _zeroed(vals, outside):
-    """vals, set to 0 in place where outside (_outside) marks a point."""
-    if outside is not None:
-        np.copyto(vals, 0.0, where=outside)
-    return vals
-
-
 @dataclass(frozen=True)
 class FlatSpectrum:
     e_min: float
@@ -266,14 +251,9 @@ class PowerLawSpectrum:
 
     def pdf(self, e):
         e = np.asarray(e, dtype=float)
-        outside = _outside(e, self.e_min, self.e_max)
-        # ** can round a reversed view differently: read e C-ordered, as the
-        # masked form's np.where output is
-        base = (np.asarray(e, order="C") if outside is None
-                else np.where(outside, self.e_min, e))
-        vals = np.asarray(base ** (-self.index))
-        vals /= self._norm()
-        return _zeroed(vals, outside)
+        inside = (e >= self.e_min) & (e <= self.e_max)
+        vals = np.where(inside, e, self.e_min) ** (-self.index) / self._norm()
+        return np.where(inside, vals, 0.0)
 
     def sample(self, rng, n):
         u = rng.uniform(size=n)
@@ -310,7 +290,7 @@ class CustomSpectrum:
 def _sigma_at(sigma, e):
     """PSF width at energy e, for a constant or callable sigma(E)."""
     s = np.asarray(sigma(e) if callable(sigma) else sigma, dtype=float)
-    if (s <= 0).any():
+    if np.any(s <= 0):
         raise ValueError("sigma(E) must be positive")
     return s
 
@@ -331,17 +311,11 @@ class GaussianPsfAngle:
         return -np.expm1(-self.r_max**2 / (2.0 * s * s))
 
     def pdf(self, phi, e):
-        # phi / (s s) exp(-(phi phi) / (2 s s)) / mass, in place
         phi = np.asarray(phi, dtype=float)
         s = _sigma_at(self.sigma, e)
-        vals = np.asarray(phi / (s * s))
-        arg = np.multiply(phi, phi, out=np.empty_like(vals))
-        np.negative(arg, out=arg)
-        arg /= 2.0 * s * s
-        np.exp(arg, out=arg)
-        vals *= arg
-        vals /= self._mass(s)
-        return _zeroed(vals, _outside(phi, 0.0, self.r_max))
+        inside = (phi >= 0) & (phi <= self.r_max)
+        vals = phi / (s * s) * np.exp(-(phi * phi) / (2.0 * s * s)) / self._mass(s)
+        return np.where(inside, vals, 0.0)
 
     def sample(self, rng, e):
         e = np.asarray(e, dtype=float)
@@ -358,9 +332,8 @@ class UniformDiscAngle:
 
     def pdf(self, phi, e):
         phi = np.asarray(phi, dtype=float)
-        vals = np.multiply(phi, 2.0, out=np.empty(phi.shape))
-        vals /= self.r_max**2
-        return _zeroed(vals, _outside(phi, 0.0, self.r_max))
+        inside = (phi >= 0) & (phi <= self.r_max)
+        return np.where(inside, 2.0 * phi / self.r_max**2, 0.0)
 
     def sample(self, rng, e):
         e = np.asarray(e, dtype=float)
@@ -383,22 +356,6 @@ class CustomAngle:
 # ---------------------------------------------------------------------------
 # Density pair
 # ---------------------------------------------------------------------------
-
-
-# Components whose pdf returns a fresh float array, which _product may
-# overwrite; a custom one may return an array its caller keeps.
-_FRESH = (FlatSpectrum, PowerLawSpectrum, GaussianPsfAngle, UniformDiscAngle)
-
-
-def _product(marg, cond, e, phi):
-    """marg.pdf(e) cond.pdf(phi, e), into the energy density's array where
-    both are _FRESH and of one shape, not 0-d."""
-    fe, fa = marg.pdf(e), cond.pdf(phi, e)
-    if (isinstance(marg, _FRESH) and isinstance(cond, _FRESH) and fe.ndim
-            and fe.shape == fa.shape):
-        fe *= fa
-        return fe
-    return fe * fa
 
 
 @dataclass(frozen=True)
@@ -437,10 +394,10 @@ class AuxDensityPair:
                         % (e, total))
 
     def pdf_source(self, e, phi):
-        return _product(self.source_energy, self.source_angle, e, phi)
+        return self.source_energy.pdf(e) * self.source_angle.pdf(phi, e)
 
     def pdf_background(self, e, phi):
-        return _product(self.background_energy, self.background_angle, e, phi)
+        return self.background_energy.pdf(e) * self.background_angle.pdf(phi, e)
 
     def sample_source(self, rng, n):
         e = self.source_energy.sample(rng, n)
@@ -554,23 +511,13 @@ def _check_support(fs, fb):
         raise ValueError("z outside support of both densities")
 
 
-def _posterior(theta, fs, fb, out=None):
+def _posterior(theta, fs, fb):
     """theta f_S / ((1 - theta) f_B + theta f_S), the source probability,
-    where the arrays f_S and f_B have passed _check_support; into out where
-    given.
+    where f_S and f_B have passed _check_support.
 
-    theta f_S where f_S is not positive (a min/max check finds any): 0 where
-    f_S = 0 < f_B, which at theta = 1 is the limit of a 0 / 0.
+    0 where f_S = 0 < f_B, which at theta = 1 is the limit of a 0 / 0.
     """
-    if fs.shape != fb.shape:
-        fs, fb = np.broadcast_arrays(fs, fb)
-    out = np.multiply(theta, fs, out=np.empty_like(fs) if out is None else out)
-    den = np.multiply(1.0 - theta, fb, out=np.empty_like(fb))
-    den += out
-    if fs.size and not fs.min() > 0:  # false on a nan
-        np.copyto(den, 1.0, where=~(fs > 0))
-    out /= den
-    return out if out.ndim else out[()]
+    return theta * fs / np.where(fs > 0, (1.0 - theta) * fb + theta * fs, 1.0)
 
 
 def optimal_weight(z, theta, densities):

@@ -514,7 +514,7 @@ def event_weights(events, weight_fn, theta=None, densities=None):
     w_theta = _weight_theta(theta_used)
 
     def weights(_, b):
-        _posterior(w_theta, fs[b], fb[b], out=w[b])
+        w[b] = _posterior(w_theta, fs[b], fb[b])
 
     _map_blocks(weights, w.size)
     return w, theta_used

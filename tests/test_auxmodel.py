@@ -118,168 +118,6 @@ class TestOptimalWeight:
                            rtol=1e-12, atol=0)
 
 
-# The masked formulas the density kernels and the posterior weight keep the
-# bits of: every point evaluated, then 0 (or a denominator of 1) outside.
-def masked_power_law(spec, e):
-    e = np.asarray(e, dtype=float)
-    inside = (e >= spec.e_min) & (e <= spec.e_max)
-    vals = np.where(inside, e, spec.e_min) ** (-spec.index) / spec._norm()
-    return np.where(inside, vals, 0.0)
-
-
-def masked_gaussian_psf(ang, phi, e):
-    phi = np.asarray(phi, dtype=float)
-    s = np.asarray(ang.sigma(e) if callable(ang.sigma) else ang.sigma,
-                   dtype=float)
-    inside = (phi >= 0) & (phi <= ang.r_max)
-    vals = phi / (s * s) * np.exp(-(phi * phi) / (2.0 * s * s)) / ang._mass(s)
-    return np.where(inside, vals, 0.0)
-
-
-def masked_uniform_disc(ang, phi):
-    phi = np.asarray(phi, dtype=float)
-    inside = (phi >= 0) & (phi <= ang.r_max)
-    return np.where(inside, 2.0 * phi / ang.r_max**2, 0.0)
-
-
-def masked_posterior(theta, fs, fb):
-    return theta * fs / np.where(fs > 0, (1.0 - theta) * fb + theta * fs, 1.0)
-
-
-def same(got, want):
-    """Equal bits, nan where nan, and one shape and type."""
-    return (type(got) is type(want) and np.shape(got) == np.shape(want)
-            and np.array_equal(got, want, equal_nan=True)
-            and np.array_equal(np.signbit(got), np.signbit(want)))
-
-
-KERNEL_SPECTRA = [am.PowerLawSpectrum(2.0, 0.1, 10.0),
-                  am.PowerLawSpectrum(1.0, 0.5, 8.0),
-                  am.PowerLawSpectrum(-2.0, 1.0, 5.0),
-                  am.PowerLawSpectrum(2.7, 0.1, 10.0)]
-KERNEL_PSFS = [GaussianPsfAngle(1.0, 5.0), GaussianPsfAngle(0.1, 5.0),
-               GaussianPsfAngle(lambda e: 0.3 + 0.1 * np.asarray(e), 4.0)]
-
-
-def kernel_inputs(lo, hi):
-    """1-D arrays inside [lo, hi], with points outside it, on its edges and
-    nan, strided and reversed views, 0-d arrays and Python scalars."""
-    rng = np.random.default_rng(31)
-    inside = rng.uniform(lo, hi, 1000)
-    inside[:2] = lo, hi
-    mixed = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 1000)
-    mixed[:6] = (lo, hi, np.nan, np.nextafter(lo, -np.inf),
-                 np.nextafter(hi, np.inf), -0.0)
-    return [inside, mixed, mixed[::3], inside[::-1], np.array([np.nan]),
-            np.empty(0), np.float64(inside[5]), np.asarray(inside[6]),
-            np.asarray(mixed[7]), float(lo), float(hi), 0.5 * (lo + hi),
-            hi + 1.0, float("nan"), np.full(3, lo)]
-
-
-class TestInPlaceKernels:
-    """The density kernels and the posterior weight work in place, and
-    zero the points outside the support only where a min/max check finds
-    any; every value keeps the bits of the masked formulas."""
-
-    @pytest.mark.parametrize("spec", KERNEL_SPECTRA)
-    def test_power_law(self, spec):
-        for e in kernel_inputs(spec.e_min, spec.e_max):
-            assert same(spec.pdf(e), masked_power_law(spec, e)), e
-
-    @pytest.mark.parametrize("ang", KERNEL_PSFS)
-    def test_gaussian_psf(self, ang):
-        for phi in kernel_inputs(0.0, ang.r_max):
-            e = np.full(np.shape(phi), 2.0) if callable(ang.sigma) else 2.0
-            assert same(ang.pdf(phi, e), masked_gaussian_psf(ang, phi, e)), phi
-        # a sigma(E) over more energies than angles: the product's shape
-        e = np.linspace(0.5, 3.0, 4)
-        got = KERNEL_PSFS[2].pdf(1.5, e)
-        assert same(got, masked_gaussian_psf(KERNEL_PSFS[2], 1.5, e))
-
-    def test_uniform_disc(self):
-        ang = UniformDiscAngle(5.0)
-        for phi in kernel_inputs(0.0, ang.r_max):
-            assert same(ang.pdf(phi, 1.0), masked_uniform_disc(ang, phi)), phi
-
-    @pytest.mark.parametrize("sigma", [1.0, 0.1])
-    def test_density_pair(self, sigma):
-        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
-                            sigma=sigma).density_pair(
-            am.PowerLawSpectrum(2.0, 0.1, 10.0),
-            am.PowerLawSpectrum(2.7, 0.1, 10.0))
-        for e, phi in zip(kernel_inputs(0.1, 10.0), kernel_inputs(0.0, 5.0)):
-            for pdf, marg, cond in ((dens.pdf_source, dens.source_energy,
-                                     dens.source_angle),
-                                    (dens.pdf_background,
-                                     dens.background_energy,
-                                     dens.background_angle)):
-                want = (masked_power_law(marg, e) * cond.pdf(phi, e))
-                assert same(pdf(e, phi), want), (e, phi)
-
-    def test_posterior(self):
-        rng = np.random.default_rng(32)
-        fs = rng.uniform(0.0, 2.0, 1000)
-        fb = rng.uniform(0.0, 2.0, 1000)
-        fs[:4] = 0.0, 0.0, 1e-320, np.nan
-        fb[:4] = 1.0, 0.5, 0.0, 1.0
-        fs[::11] = 0.0
-        cases = [(fs, fb), (fs[4:], fb[4:]), (fs[::2], fb[::2]),
-                 (np.abs(fs[4:]) + 0.5, fb[4:]), (fs[4:10], 0.7),
-                 (np.asarray(0.0), np.asarray(1.0)),
-                 (np.asarray(0.3), np.asarray(0.2)),
-                 (np.empty(0), np.empty(0))]
-        for theta in (0.0, am._THETA_FLOOR, 0.1, 0.5, 1.0):
-            for f_s, f_b in cases:
-                f_s, f_b = np.asarray(f_s), np.asarray(f_b)
-                keep = (f_s.copy(), f_b.copy())
-                with np.errstate(invalid="ignore"):  # the nan f_S
-                    want = masked_posterior(theta, f_s, f_b)
-                    assert same(am._posterior(theta, f_s, f_b), want)
-                    out = np.full(np.broadcast(f_s, f_b).shape, -1.0)
-                    if out.ndim:
-                        am._posterior(theta, f_s, f_b, out=out)
-                        assert np.array_equal(out, want, equal_nan=True)
-                assert np.array_equal(f_s, keep[0], equal_nan=True)
-                assert np.array_equal(f_b, keep[1], equal_nan=True)
-        # theta = 1 where f_S = 0 < f_B: the limit 0, not 0 / 0
-        assert am._posterior(1.0, np.array([0.0, 2.0]),
-                             np.array([1.0, 1.0])).tolist() == [0.0, 1.0]
-
-    def test_optimal_weight_at_the_theta_floor(self):
-        dens = DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
-                            sigma=0.1).density_pair()
-        e = np.array([1.0, 2.0, 5.0])
-        phi = np.array([4.0, 0.05, 0.3])  # f_S underflows to 0 at 4
-        fs = np.asarray(dens.pdf_source(e, phi))
-        fb = np.asarray(dens.pdf_background(e, phi))
-        got = optimal_weight_fn(0.0, dens)(e, phi)
-        assert same(got, masked_posterior(am._THETA_FLOOR, fs, fb))
-        assert got[0] == 0.0 and got[1] > 0
-
-    def test_custom_arrays_are_not_written(self):
-        """An array that a CustomSpectrum or CustomAngle returns, which its
-        caller may keep, is read and never written."""
-        kept_e = np.full(5, 0.5)
-        kept_phi = np.full(5, 2.0)
-        spectrum = CustomSpectrum(lambda e: kept_e, None, 0.0, 2.0)
-        angle = CustomAngle(lambda phi, e: kept_phi, None, 0.5)
-        flat, disc = am.FlatSpectrum(0.0, 2.0), UniformDiscAngle(0.5)
-        e, phi = np.linspace(0.1, 1.9, 5), np.full(5, 0.25)
-        for marg, cond in ((spectrum, angle), (spectrum, disc),
-                           (flat, angle)):
-            dens = object.__new__(AuxDensityPair)  # no normalization check
-            for name, value in (("source_energy", marg),
-                                ("source_angle", cond),
-                                ("background_energy", flat),
-                                ("background_angle", disc)):
-                object.__setattr__(dens, name, value)
-            want = np.asarray(marg.pdf(e)) * np.asarray(cond.pdf(phi, e))
-            assert np.array_equal(dens.pdf_source(e, phi), want)
-            optimal_weight((e, phi), 0.3, dens)
-            optimal_no_spectrum_fn(0.3, dens)(e, phi)
-            assert np.all(kept_e == 0.5) and np.all(kept_phi == 2.0)
-
-
 class TestPsfGaussianWeight:
     def test_two_sigma_at_xi_one(self):
         w = psf_gaussian_weight(1.0, 2.0, xi1_geometry())

@@ -636,32 +636,6 @@ def test_python_m_photonperiod(tmp_path):
     assert doc["n_events"] == len(read_events(events)[0])
 
 
-def test_detect_output_does_not_depend_on_openblas_threads(tmp_path, capsys):
-    """detect (optimal weights, theta by MLE) of a simulated file of about
-    2e5 events, four blocks, prints the same line under OPENBLAS_NUM_THREADS
-    1 and 2: no per-event step calls BLAS."""
-    doc = base_config(weight={"kind": "optimal"})
-    doc["model"] = {"mu": 2000.0, "theta": 0.1, "T": 100.0}
-    cfg = write_config(tmp_path, doc)
-    events = str(tmp_path / "events.csv")
-    code, _, err = run(capsys, ["simulate", "--config", cfg, "--out", events,
-                                "--seed", "5"])
-    assert code == 0, err
-    assert len(read_events(events)[0]) > 3 * detector._AN_BLOCK
-    env = _package_env()
-    outs = []
-    for threads in ("1", "2"):
-        env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-m", "photonperiod", "detect",
-                               "--config", cfg, "--events", events],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert json.loads(outs[0])["theta_used"] > 0
-    assert outs[0] == outs[1]
-
-
 # Run in a fresh interpreter: the test modules import scipy themselves.  It
 # takes JSON [[argv, ...], [argv, ...]]: the first commands must load no
 # scipy module, numpy.ma or process pool, the second ones may.  It prints
