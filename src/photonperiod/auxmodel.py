@@ -256,12 +256,14 @@ class PowerLawSpectrum:
         return np.where(inside, vals, 0.0)
 
     def sample(self, rng, n):
+        """Inverse-CDF draws by log1p and expm1, as _norm: e_max^g - e_min^g
+        would round them to fewer values near index 1."""
         u = rng.uniform(size=n)
         g = 1.0 - self.index
-        if abs(g) < 1e-12:
+        if g == 0:
             return self.e_min * (self.e_max / self.e_min) ** u
-        lo, hi = self.e_min**g, self.e_max**g
-        return (lo + u * (hi - lo)) ** (1.0 / g)
+        log_ratio = np.log(self.e_max / self.e_min)
+        return self.e_min * np.exp(np.log1p(u * np.expm1(g * log_ratio)) / g)
 
 
 @dataclass(frozen=True)
@@ -827,17 +829,15 @@ def optimal_efficiency(theta, densities):
 
 
 def correlation_efficiency(w, theta, densities):
-    """Efficiency via correlation with the optimal weight.
-
-    [E(W W_opt)]^2 / E(W^2) under the marginal density of z, divided by
-    theta^2; algebraically identical to weight_efficiency.
-    """
+    """Efficiency via correlation with the optimal weight: [E(W W_opt)]^2 /
+    E(W^2) under the marginal density of z, divided by theta^2, identical
+    to weight_efficiency; w's jumps are breakpoints, as in weight_moments."""
 
     def g(e, p):
         v = w(e, p)
         return v * optimal_weight((e, p), theta, densities), v * v
 
-    bg, src = _expectations(g, densities)
+    bg, src = _expectations(g, densities, getattr(w, "jumps", None))
     e_wwopt, e_w2 = (1.0 - theta) * bg + theta * src
     if e_w2 <= 0:
         raise ValueError("degenerate weight")

@@ -155,10 +155,8 @@ def cmd_scan(args):
     result = run_scan(events, w, template, model.T, spec,
                       epoch=cfg.phase().epoch)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("f,fdot,qt,p_value\n")
-            for f, fd, q, p in zip(result.f, result.fdot, result.qt, result.p):
-                fh.write("%.17g,%.17g,%.17g,%.17g\n" % (f, fd, q, p))
+        eventio._write_csv(args.out, ["f", "fdot", "qt", "p_value"],
+                           [result.f, result.fdot, result.qt, result.p])
     print(_json_line(result.best))
     return 0
 

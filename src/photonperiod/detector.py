@@ -1,21 +1,19 @@
 """Weighted Fourier statistics, the Q_T detection statistic, and p-values.
 
 The statistic Q_T = (1/T) sum_{n != 0} |alpha_n|^2 |A_n|^2 with
-A_n = sum_j w_j exp(2 pi i n phi(t_j)), one unit phasor per event
-(lightcurve._unit_phasors) and z^n by recurrence (lightcurve._harmonic_sums),
-over fixed blocks of 2^16 events (fourier_coefficients, with its rounding
-bound) summed on every CPU the process may use, with bits that do not depend
-on how many.  A_n and sum_j w_j^2, a pairwise sum, are summed with the events
-in one canonical (t, w) order, so no permutation of the events changes a bit
-of either.  Under
-the null (no periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately
-chi-square(2) and the A_n are approximately independent, so Q_T T is a
-weighted sum of independent chi-square(2) variables with coefficients
-|alpha_n|^2 sum_w2; p-values are its exact survival function
-(`weighted_chi2_sf`): the hypoexponential closed form in log space, with the
-phase-type matrix exponential where ties or cancellation defeat it.  They are
-accurate to 1e-10 relative down to P_FLOOR (~2.2e-308), below which they are
-0.0.
+A_n = sum_j w_j exp(2 pi i n phi(t_j)).  One kernel, _an_sums, sums A_n for detect
+(fourier_coefficients, one point) and scan (a grid) over fixed blocks of 2^16
+events on every CPU the process may use, with its rounding bound and bits
+that do not depend on how many.  A_n and sum_j w_j^2, a pairwise sum, take
+the events in one canonical (t, w) order (_weighted_events), so no
+permutation of the events changes a bit of either.  Under the null (no
+periodic component) 2 |A_n|^2 / sum_j w_j^2 is approximately chi-square(2)
+and the A_n are approximately independent, so Q_T T is a weighted sum of
+independent chi-square(2) variables with coefficients |alpha_n|^2 sum_w2;
+p-values are its exact survival function (`weighted_chi2_sf`): the
+hypoexponential closed form in log space, with the phase-type matrix
+exponential where ties or cancellation defeat it.  They are accurate to 1e-10
+relative down to P_FLOOR (~2.2e-308), below which they are 0.0.
 """
 
 import math
@@ -104,6 +102,15 @@ def _sum_w2(w):
     return float(np.sum(np.square(w)))
 
 
+def _weighted_events(events, weights):
+    """Checked (t, w)-ordered events and sum_j w_j^2 > 0, else ValueError."""
+    ordered = _canonical(*_times_and_weights(events, weights))
+    sum_w2 = _sum_w2(ordered.w)
+    if sum_w2 <= 0:
+        raise ValueError("no weighted events")
+    return ordered, sum_w2
+
+
 def _cpus():
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -149,32 +156,55 @@ def _map_blocks(fn, n, rows=1):
     return results
 
 
-def fourier_coefficients(events, weights, model, m):
-    """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times.
+# phase_of's model of one _an_sums row: not a PhaseModel, whose f > 0 check
+# would reject a scan grid from f <= 0
+_Row = NamedTuple("_Row", [("f", float), ("fdot", float), ("epoch", float)])
 
-    The events are summed in (t, w) order, so that no permutation of them
-    changes a bit, over fixed blocks of B = 2^16 events (_map_blocks).  Each
-    block's sum is within (9 n + 2 log2 B + 20) u of its sum_j w_j
-    (lightcurve._harmonic_sums), and adding the ceil(N / B) block sums in
-    turn adds at most (N / B + 1) u sum_j w_j, so A_n is within
-    (9 n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at the
-    rounded phases.
-    """
+
+def _an_sums(times, w, m, f0, fdots, epoch, step=0.0, k=1):
+    """A_n, n = 1..m, at f0 + i step, i < k, for each fdot, shape
+    (len(fdots), k, m), of events in _canonical's order.
+
+    One _map_blocks task per (fdot, block of B = 2^16 events) takes a unit
+    phasor z_j per event at phase_of (f0, fdot, epoch) and, for k > 1,
+    rotates it by e^{2 pi i step (t_j - epoch)} from point to point; A_n is
+    the recurrence z^n (lightcurve._harmonic_sums).  A row's block sums are
+    added in block order, so no worker count changes a bit.  A block's sum
+    is within (9 n + 2 log2 B + 20) u of its sum_j w_j (u = 2^-53), each
+    rotation adds at most 16 u while step |t - epoch| <= 1, and adding the
+    block sums (N / B + 1) u sum_j w_j: at a row's i-th point A_n is within
+    ((9 + 16 i) n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at
+    the rounded first phase plus i step (t - epoch)."""
+
+    def block_sums(row, block):
+        t, wb = times[block], w[block]
+        z = _unit_phasors(phase_of(_Row(f0, fdots[row], epoch), t))
+        if k == 1:
+            return _harmonic_sums(wb, z, m)
+        rot = _unit_phasors(step * (t - epoch))
+        an = np.empty((k, m), dtype=complex)
+        for i in range(k):
+            an[i] = _harmonic_sums(wb, z, m)
+            z *= rot
+        return an
+
+    an = np.zeros((len(fdots), k, m), dtype=complex)
+    blocks = -(-times.size // _AN_BLOCK)
+    for j, sums in enumerate(_map_blocks(block_sums, times.size, len(fdots))):
+        an[j // blocks] += sums  # each row's blocks in block order
+    return an
+
+
+def fourier_coefficients(events, weights, model, m):
+    """A_n = sum_j w_j e^{2 pi i n phi(t_j)}, n = 1..m, of events or times:
+    _an_sums at one point, within its bound at i = 0, summed in (t, w)
+    order so that no permutation of the events changes a bit."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(events, _Canonical) and weights is events.w:
-        times, w = events  # detect's: checked and in (t, w) order
-    else:
-        times, w = _canonical(*_times_and_weights(events, weights))
-
-    def block_sums(_, block):
-        phasors = _unit_phasors(phase_of(model, times[block]))
-        return _harmonic_sums(w[block], phasors, m)
-
-    an = np.zeros(m, dtype=complex)
-    for sums in _map_blocks(block_sums, times.size):
-        an += sums
-    return an
+    # detect's events come checked and in (t, w) order
+    if not (isinstance(events, _Canonical) and weights is events.w):
+        events = _canonical(*_times_and_weights(events, weights))
+    return _an_sums(*events, m, model.f, (model.fdot,), model.epoch)[0, 0]
 
 
 def qt_statistic(an, template, T):
@@ -534,11 +564,7 @@ def detect(events, weight_fn, model, template, theta=None, densities=None,
     w, theta_used = event_weights(events, weight_fn, theta, densities)
 
     # checked and sorted once: fourier_coefficients takes them as they are
-    ordered = _canonical(*_times_and_weights(events, w))
-    sum_w2 = _sum_w2(ordered.w)
-    if sum_w2 <= 0:
-        raise ValueError("no weighted events")
-
+    ordered, sum_w2 = _weighted_events(events, w)
     an = fourier_coefficients(ordered, ordered.w, model, template.m)
     qt = qt_statistic(an, template, T)
     p = p_value(qt, sum_w2, template, T)

@@ -62,23 +62,29 @@ _READ_ROWS = 1 << 15
 
 def write_events(path, events, weights=None, header_comment=None):
     """Write events, and a weight per event if given, as CSV rows of 17
-    significant digits.  ValueError, before the file is opened, where
-    weights is not one value per event."""
-    columns = [events.t, events.energy, events.angle]
+    significant digits (_write_csv).  ValueError, before the file is
+    opened, where weights is not one value per event."""
+    names, columns = list(_COLUMNS), [events.t, events.energy, events.angle]
     if weights is not None:
         columns.append(np.asarray(weights, dtype=float))
         if columns[-1].shape != (len(events),):
             raise ValueError("weights of shape %s for %d events"
                              % (columns[-1].shape, len(events)))
+        names.append("weight")
+    _write_csv(path, names, columns, header_comment)
+
+
+def _write_csv(path, names, columns, comment=None):
+    """'# ' comment lines, a header of names and a row of %.17g values per
+    index of the 1-D columns, formatted from lists of 2^16 rows at a time."""
     with open(path, "w") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
+        if comment:
+            for line in comment.splitlines():
                 fh.write("# %s\n" % line)
-        cols = "time,energy,angle" + (",weight" if weights is not None else "")
-        fh.write(cols + "\n")
+        fh.write(",".join(names) + "\n")
         row = ",".join(["%.17g"] * len(columns)) + "\n"
-        step = 1 << 16  # rows whose values are Python lists at one time
-        for start in range(0, len(events), step):
+        step = 1 << 16
+        for start in range(0, len(columns[0]), step):
             block = (c[start:start + step].tolist() for c in columns)
             fh.writelines(row % vals for vals in zip(*block))
 

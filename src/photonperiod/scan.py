@@ -5,18 +5,9 @@ so the phase error of the highest retained harmonic between adjacent grid
 points stays below one cycle (|m Delta| < 1 for Delta the offset in units of
 1/T).
 
-Each fdot row keeps one phasor z_j per event and rotates it by
-e^{2 pi i step (t_j - epoch)} from one grid point to the next; A_n comes from
-the recurrence z^n (lightcurve._harmonic_sums).  The events are summed over
-detect's fixed blocks of B = 2^16 events (detector._map_blocks, one task per
-fdot row and block, on every CPU the process may use), and the block sums
-added in block order.  Rotating adds at most 16 u (u = 2^-53) a step while
-step |t - epoch| <= 1, so at the k-th point of a row A_n is within
-((9 + 16 k) n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of the exact sum
-at the row's first phase plus k step (t - epoch).
-
-The events are summed in detect's canonical (t, w) order and blocks, and
-sum_j w_j^2 is detect's, so the first point of each fdot row has the Q_T of
+A_n on the grid is detect's kernel, detector._an_sums, one row per fdot,
+within the rounding bound stated there, of detect's events and sum_j w_j^2
+(detector._weighted_events).  So each fdot row's first point has the Q_T of
 detector.fourier_coefficients at (f_lo, fdot, epoch), and each point's p is
 detector.p_value at its Q_T, bit for bit, for any number of CPUs.
 """
@@ -25,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (_canonical, _map_blocks, _sum_w2, qt_statistic,
+from .detector import (_an_sums, _weighted_events, qt_statistic,
                        weighted_chi2_sf)
-from .lightcurve import _harmonic_sums, _times_and_weights, _unit_phasors
 
 __all__ = ["ScanSpec", "ScanResult", "frequency_grid", "scan"]
 
@@ -99,33 +89,12 @@ def scan(events, weights, template, T, spec, epoch=0.0):
             "grid has %d points (max %d); narrow the range or reduce "
             "oversampling" % (total, spec.max_points)
         )
-    times, w = _canonical(*_times_and_weights(events, weights))
-    sum_w2 = _sum_w2(w)
-    if sum_w2 <= 0:
-        raise ValueError("no weighted events")
-
-    q = times - epoch
+    (times, w), sum_w2 = _weighted_events(events, weights)
     # the step from the grid's span: freqs[1] - freqs[0] carries the
     # rounding of freqs[1], which k rotations would multiply by k
     step = np.ptp(freqs) / max(freqs.size - 1, 1)
-
-    def row_sums(i, block):
-        """A_n at each frequency of fdot row i, over one block of events."""
-        qb, wb = q[block], w[block]
-        rot = _unit_phasors(step * qb)
-        z = _unit_phasors(freqs[0] * qb + 0.5 * fdots[i] * qb * qb)
-        an = np.empty((freqs.size, template.m), dtype=complex)
-        for k in range(freqs.size):
-            an[k] = _harmonic_sums(wb, z, template.m)
-            z *= rot
-        return an
-
-    an = np.zeros((fdots.size, freqs.size, template.m), dtype=complex)
-    parts = _map_blocks(row_sums, times.size, fdots.size)
-    blocks = len(parts) // fdots.size
-    for j, sums in enumerate(parts):  # each row's blocks in block order
-        an[j // blocks] += sums
-
+    an = _an_sums(times, w, template.m, freqs[0], fdots, epoch, step,
+                  freqs.size)
     qt = qt_statistic(an.reshape(total, template.m), template, T)
     p = weighted_chi2_sf(qt * T, template.amps_sq * sum_w2)
     return ScanResult(f=np.tile(freqs, fdots.size),

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from photonperiod import auxmodel as am
 from photonperiod.auxmodel import (
@@ -647,6 +648,23 @@ class TestEfficiency:
         assert correlation_efficiency(wopt, theta, dens) == pytest.approx(
             optimal_efficiency(theta, dens), rel=1e-5)
 
+    def test_correlation_efficiency_takes_the_cut_edges(self):
+        """correlation_efficiency hands a cut's edges to the quadrature: the
+        power benchmark's energy-and-angle cut takes 1 weight call, where
+        the probe takes more, for the same value, bit for bit."""
+        dens, wf = benchmark_power_densities(), cut_weight_fn(e_lo=4.3, phi_max=2.0)
+        calls = []
+
+        def counted(e, phi):
+            calls.append(np.size(e))
+            return wf(e, phi)
+
+        eff = correlation_efficiency(WeightFunction(counted, wf.jumps), 0.1, dens)
+        assert len(calls) == 1
+        probed = correlation_efficiency(counted, 0.1, dens)  # no jumps
+        assert len(calls) > 2
+        assert eff == probed
+
     def test_optimal_dominates_other_weights(self):
         dens = xi1_densities()
         theta = THETA_GEOM
@@ -760,6 +778,24 @@ class TestDensities:
         assert np.all(phi <= 5.0)
         # mean of Rayleigh(1) is sqrt(pi/2)
         assert np.mean(phi) == pytest.approx(np.sqrt(np.pi / 2), abs=0.01)
+
+    @pytest.mark.parametrize("index", [1.0 - 1e-11, 1.0, 1.0 + 1e-11,
+                                       1.0 + 1e-9, 2.0, 2.7])
+    def test_power_law_draws_fit_the_cdf(self, index):
+        """Inverse-CDF draws keep their resolution near index 1, where
+        e_min^g + u (e_max^g - e_min^g) rounds to about 143,000 values in
+        200,000, and follow the CDF near index 1 and away from it."""
+        spec = am.PowerLawSpectrum(index, 0.1, 10.0)
+        draws = spec.sample(np.random.default_rng(0), 200_000)
+        assert np.unique(draws).size == 200_000
+        assert np.all((draws >= 0.1) & (draws <= 10.0))
+        g, span = 1.0 - index, np.log(100.0)
+
+        def cdf(e):
+            x = np.log(e / 0.1)
+            return x / span if g == 0 else np.expm1(g * x) / np.expm1(g * span)
+
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
 
     def test_power_law_spectrum(self):
         spec = am.PowerLawSpectrum(2.0, 1.0, 10.0)

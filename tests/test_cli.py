@@ -453,6 +453,31 @@ class TestScanCommand:
         assert lines[0] == "f,fdot,qt,p_value"
         assert len(lines) - 1 == best["trials"]
 
+    def test_out_file_is_the_scan_result(self, tmp_path, capsys):
+        """--out holds the header and one row of %.17g values per grid
+        point of the library's ScanResult, fdot rows in turn, byte for
+        byte."""
+        doc = base_config(weight={"kind": "unit"},
+                          scan={"f_lo": 4.99, "f_hi": 5.01, "oversample": 2,
+                                "fdot": [-1e-4, 1e-4, 3]})
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        run(capsys, ["simulate", "--config", cfg, "--out", events, "--seed", "6"])
+        table = tmp_path / "scan.csv"
+        code, _, err = run(capsys, ["scan", "--config", cfg, "--events", events,
+                                    "--out", str(table)])
+        assert code == 0, err
+        config = Config(doc)
+        ev, _ = read_events(events)
+        res = scan(ev, np.ones(len(ev)), config.template(), 100.0,
+                   config.scan_spec(100.0))
+        assert res.trials > 3 and len(set(res.fdot.tolist())) == 3
+        rows = zip(res.f.tolist(), res.fdot.tolist(), res.qt.tolist(),
+                   res.p.tolist())
+        want = "f,fdot,qt,p_value\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+        assert table.read_bytes() == want.encode()
+
     def test_negative_precomputed_weight_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         plain = str(tmp_path / "plain.csv")

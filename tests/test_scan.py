@@ -235,6 +235,28 @@ class TestBlocks:
             assert res.qt[i * n_f] == qt_statistic(an, self.TPL, self.T)
 
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_frequency_rows_are_detects(self, monkeypatch, workers):
+        """A grid of one frequency (f_hi - f_lo below one step) is the
+        kernel's one-point path: each row's Q_T and p are qt_statistic and
+        p_value of fourier_coefficients, bit for bit, on any worker
+        count."""
+        monkeypatch.setattr(detector, "_cpus", lambda: workers)
+        spec = ScanSpec(f_lo=2.0, f_hi=2.0001, fdot=(-1e-6, 1e-6, 3),
+                        oversample=1.0)
+        assert frequency_grid(spec, self.T, self.TPL.m).size == 1
+        t, w = self._events()
+        res = scan(t, w, self.TPL, self.T, spec, epoch=self.EPOCH)
+        assert res.trials == 3
+        sum_w2 = _sum_w2(_canonical(t, w)[1])
+        for i, fdot in enumerate(spec.fdot_values()):
+            model = PhaseModel(f=spec.f_lo, fdot=fdot, epoch=self.EPOCH)
+            qt = qt_statistic(fourier_coefficients(t, w, model, self.TPL.m),
+                              self.TPL, self.T)
+            assert res.qt[i] == qt
+            assert res.p[i] == p_value(qt, sum_w2, self.TPL, self.T)
+
+
 class TestNullScanCalibration:
     def test_minimum_p_follows_trials_count(self):
         """With N independent grid points the smallest raw p-value is
