@@ -522,13 +522,18 @@ def _posterior(theta, fs, fb):
     return theta * fs / np.where(fs > 0, (1.0 - theta) * fb + theta * fs, 1.0)
 
 
+def _checked_posterior(theta, fs, fb):
+    """_posterior of f_S and f_B as float arrays, after _check_support."""
+    fs, fb = np.asarray(fs, dtype=float), np.asarray(fb, dtype=float)
+    _check_support(fs, fb)
+    return _posterior(theta, fs, fb)
+
+
 def optimal_weight(z, theta, densities):
     """Posterior probability that an event at z = (E, phi) is from the source."""
     e, phi = z
-    fs = np.asarray(densities.pdf_source(e, phi), dtype=float)
-    fb = np.asarray(densities.pdf_background(e, phi), dtype=float)
-    _check_support(fs, fb)
-    out = _posterior(theta, fs, fb)
+    out = _checked_posterior(theta, densities.pdf_source(e, phi),
+                             densities.pdf_background(e, phi))
     return out if np.ndim(out) else float(out)
 
 
@@ -542,14 +547,9 @@ def optimal_weight_fn(theta, densities):
 def optimal_no_spectrum_fn(theta, densities):
     """Optimal weight from angle conditionals only (energy spectra unknown)."""
     theta = _weight_theta(theta)
-
-    def fn(e, phi):
-        fs = np.asarray(densities.source_angle.pdf(phi, e), dtype=float)
-        fb = np.asarray(densities.background_angle.pdf(phi, e), dtype=float)
-        _check_support(fs, fb)
-        return _posterior(theta, fs, fb)
-
-    return WeightFunction(fn)
+    return WeightFunction(lambda e, phi: _checked_posterior(
+        theta, densities.source_angle.pdf(phi, e),
+        densities.background_angle.pdf(phi, e)))
 
 
 def psf_gaussian_weight(e, phi, geom, spectra=None):

@@ -22,12 +22,12 @@ line-by-line parser bit for bit or declines the file.
    correctly rounded division) that is the double nearest the decimal, the
    value `float` gives.  So each value is finite and >= 0, and
    `read_events` does not check these columns again.
-2. `np.loadtxt` is handed the path, skipping the lines up to and including
-   the header, after one search of the raw bytes for the characters on which
-   numpy and `float` disagree.  It reads the files `write_events` writes
-   (17 digits, variable width).  It declines where numpy rejects the rows,
-   finds a column count other than the header's, or such a character is
-   found (or the path has a suffix numpy decompresses).
+2. `np.loadtxt` is handed the file, opened in text mode as the line parser
+   opens it, at the line after the header, after one search of the raw
+   bytes for the characters on which numpy and `float` disagree.  It reads
+   the files `write_events` writes (17 digits, variable width).  It
+   declines where numpy rejects the rows, finds a column count other than
+   the header's, or such a character is found.
 3. The line-by-line parser reads the file from the top; it alone reports
    errors, each naming its `path:lineno`.
 
@@ -50,8 +50,6 @@ _COLUMNS = ("time", "energy", "angle")
 # ASCII information separators: np.loadtxt strips them from the ends of a
 # field as whitespace, float() rejects them.
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# np.loadtxt decompresses a path with one of these suffixes; open() does not.
-_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
 # Digits of an aligned field: its integer is below 10^15 < 2^53, exact in
 # a double.
 _MAX_DIGITS = 15
@@ -93,7 +91,8 @@ def read_events(path):
     """Parse an event CSV.  Returns (EventList, weights-or-None), rows in
     stable time order, every column contiguous.
 
-    Values must be finite, and energies and angles >= 0 (_check_values).
+    Values must be finite, and energies, angles and weights >= 0
+    (_check_values).
     The column-aligned reader's columns are not checked: a field of at most
     15 digits and one dot is finite and >= 0, so the check cannot fail on
     them."""
@@ -353,28 +352,24 @@ def _read_columns_aligned(path):
 def _read_columns_fast(path):
     """Column name -> values by np.loadtxt, or None wherever the result
     could differ from _read_columns's (which then reports the error)."""
-    path = os.path.abspath(path)  # np.loadtxt would fetch a URL-like path
-    if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
-        return None
     try:
-        with open(path) as fh:  # text mode: the lines np.loadtxt counts
-            for skip, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    names = _header(path, skip, line)  # errors: see _read_columns
-                    break
-            else:
-                return None
         # the separators are ASCII bytes, which never occur inside a UTF-8
         # multibyte sequence: search the raw bytes, header lines included
         with open(path, "rb") as fh:
             for chunk in iter(partial(fh.read, 1 << 20), b""):
                 if any(c in chunk for c in _NUMPY_ONLY_SPACE):
                     return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns on no rows
-            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                              skiprows=skip)
+        with open(path) as fh:  # text mode: the lines of _read_columns
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    names = _header(path, lineno, line)  # errors: see _read_columns
+                    break
+            else:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on no rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
     if data.shape[1] != len(names):
@@ -419,13 +414,13 @@ def _read_columns(path):
 
 
 def _check_values(path, columns):
-    """Reject non-finite values and negative energies or angles, naming the
-    first offending row.  Vectorized; the file is reread only to find the
-    line number of a bad row."""
+    """Reject non-finite values and negative energies, angles or weights,
+    naming the first offending row.  Vectorized; the file is reread only to
+    find the line number of a bad row."""
     first = []
     for col, (name, values) in enumerate(columns.items()):
         bad = ~np.isfinite(values)
-        if name in ("energy", "angle"):
+        if name != "time":
             bad |= values < 0
         if bad.any():
             first.append((int(np.argmax(bad)), col, name))
@@ -433,7 +428,8 @@ def _check_values(path, columns):
         return
     row, _, name = min(first)
     value = float(columns[name][row])
-    need = "finite" if name in ("time", "weight") else "finite and >= 0"
+    need = {"time": "finite", "weight": "finite and nonnegative"}.get(
+        name, "finite and >= 0")
     raise ValueError("%s:%d: %s must be %s, got %r"
                      % (path, _data_lineno(path, row), name, need, value))
 

@@ -304,21 +304,22 @@ def template_efficiency(template, source):
 def estimate_profile_coeffs(events, model, m, weights=None):
     """Empirical Fourier spectrum of an event list as a LightCurveProfile.
 
-    Coefficients are proportional to A_n = sum_j w_j e^{2 pi i n phi(t_j)},
-    normalized so sum_n |gamma_n|^2 = 1, with eta = 1.  The result is a
-    spectrum for template matching and skips the rate-profile
-    nonnegativity check.
+    Coefficients are proportional to A_n = sum_j w_j e^{2 pi i n phi(t_j)}
+    from detector.fourier_coefficients, within its kernel's rounding bound
+    and with bits that no permutation of the events changes, normalized so
+    sum_n |gamma_n|^2 = 1, with eta = 1.  The result is a spectrum for
+    template matching and skips the rate-profile nonnegativity check.
     """
-    if weights is None:
-        weights = np.ones(np.shape(getattr(events, "t", events)))
-    times, w = _times_and_weights(events, weights)
+    from .detector import _weighted_events, fourier_coefficients  # a cycle
+
+    times = np.asarray(getattr(events, "t", events), dtype=float)
     if times.size == 0:
         raise ValueError("empty event list")
-    if not np.any(w > 0):
-        raise ValueError("no weighted events")
-    an = _harmonic_sums(w, _unit_phasors(phase_of(model, times)), m)
+    ordered, _ = _weighted_events(
+        times, np.ones(times.shape) if weights is None else weights)
+    an = fourier_coefficients(ordered, ordered.w, model, m)
     power = np.abs(an) ** 2
-    if np.sum(power) / np.sum(w) ** 2 < 1e-9:
+    if np.sum(power) / np.sum(ordered.w) ** 2 < 1e-9:
         raise ValueError("no harmonic content")
     coeffs = an / np.sqrt(np.sum(power))
     return LightCurveProfile.unchecked(coeffs, eta=1.0)

@@ -19,15 +19,16 @@ i.e. the weighted-chi-square model with one chi-square(2) term per n >= 1
 and coefficient |alpha_n|^2 E(W^2) mu0 T.  Monte Carlo confirms this
 variance; treating the +-n pair as independent would halve it.
 
-The mismatch functions index one Monte Carlo table of the |A_n|^2 excess:
-each replicate is simulated once for every harmonic and offset.
+The mismatch functions index one Monte Carlo table of the |A_n|^2 excess,
+each replicate simulated and put in (t, w) order once for every harmonic and
+offset; mismatch_scan alone divides it into the retained factors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import fourier_coefficients
+from .detector import _canonical, fourier_coefficients
 from .lightcurve import PhaseModel
 from .simulator import expected_count, simulate
 
@@ -130,47 +131,41 @@ def _excess(model, densities, harmonics, deltas, mode, replicates, seed, tau):
     powers = np.empty((len(harmonics), len(deltas), replicates))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         ev = simulate(model, densities, tau=tau, seed=child)
-        w = np.ones(len(ev))
+        # unit weights need no check; an empty replicate has no A_n power
+        events = _canonical(ev.t, np.ones(len(ev)))
         for j, phase in enumerate(phases):
-            an = fourier_coefficients(ev, w, phase, m)
+            an = fourier_coefficients(events, events.w, phase, m)
             # scalar ** 2 (libm pow) and numpy's array x * x can differ
             powers[:, j, i] = [np.abs(an[n - 1]) ** 2 for n in harmonics]
     se = np.std(powers, axis=-1, ddof=1) / np.sqrt(replicates)
     return np.mean(powers, axis=-1) - expected_count(model), se
 
 
-def mismatch_factor(model, densities, n, delta, mode="f-only", via="empirical",
+def mismatch_factor(model, densities, n, delta, mode="f-only",
                     replicates=400, seed=0, tau=0.0):
-    """Fractional signal power retained at frequency offset Delta / T.
-
-    Empirical mode simulates events at the true phase, measures the mean
-    |A_n|^2 excess over the null level when analyzed at
-    f = f0 + Delta/T (and fdot = fdot0 + Delta/T^2 in f-and-fdot mode), and
-    divides by the Delta = 0 excess.  Quadratic-fit mode fits
-    1 - kappa (n Delta)^2 to empirical factors at small offsets and evaluates
-    the fit at Delta.  Delta = 0 gives 1 in both modes, by definition.
+    """Fractional signal power retained at frequency offset Delta / T:
+    mismatch_scan's factor for (n, Delta), the mean |A_n|^2 excess of events
+    simulated at the true phase and analyzed at f = f0 + Delta/T (and
+    fdot = fdot0 + Delta/T^2 in f-and-fdot mode) over the Delta = 0 excess.
+    Delta = 0 gives 1 without simulating; a zero Delta = 0 excess raises
+    ZeroDivisionError, as in mismatch_scan.
     """
     _check_offsets(mode, [delta])
-    if via not in ("empirical", "quadratic-fit"):
-        raise ValueError("unknown via %r" % via)
     if delta == 0.0:
         return 1.0
-    if via == "quadratic-fit":
-        kappa, _ = fit_mismatch_kappa(model, densities, n, mode=mode,
-                                      replicates=replicates, seed=seed, tau=tau)
-        return max(0.0, 1.0 - kappa * (n * delta) ** 2)
-    excess, _ = _excess(model, densities, [n], [0.0, delta], mode, replicates,
-                        seed, tau)
-    return float(excess[0, 1] / excess[0, 0])
+    [(_, _, factor, _)] = mismatch_scan(model, densities, [n], [delta], mode,
+                                        replicates, seed, tau)
+    return factor
 
 
 def fit_mismatch_kappa(model, densities, n, mode="f-only", replicates=400,
                        seed=0, tau=0.0, deltas=(0.05, 0.1, 0.15, 0.2)):
-    """Least-squares kappa in factor(Delta) = 1 - kappa (n Delta)^2."""
-    excess, _ = _excess(model, densities, [n], [0.0, *deltas], mode,
-                        replicates, seed, tau)
+    """Least-squares kappa in factor(Delta) = 1 - kappa (n Delta)^2, from
+    mismatch_scan's factors."""
+    rows = mismatch_scan(model, densities, [n], deltas, mode, replicates,
+                         seed, tau)
     x = np.array([(n * d) ** 2 for d in deltas])
-    y = 1.0 - excess[0, 1:] / excess[0, 0]
+    y = 1.0 - np.array([factor for _, _, factor, _ in rows])
     kappa = float(np.dot(x, y) / np.dot(x, x))
     resid = y - kappa * x
     se = float(np.sqrt(np.sum(resid**2) / max(1, x.size - 1) / np.dot(x, x)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxmodel import _integral
+from .auxmodel import _integral, _posterior
 from .lightcurve import LightCurveProfile, eval_profile, phase_of
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _NU_GRID = 4096
+# Rounding lets a rate read up to (8 m + 16) u above rate_bound, m harmonics
+# (eval_profile, u = 2^-53): simulate allows this much for m < 10^6.
+_RATE_RTOL = 1e-9
 
 
 def sensitivity_constant(level=1.0):
@@ -88,18 +91,21 @@ class RateModel:
         return self.mu * self.c(t) * ((1.0 - self.theta) + self.theta * self.nu(t, tau))
 
     def rate_bound(self):
-        """A true upper bound on lambda(t) over [0, T].
+        """An upper bound on lambda(t) over [0, T], for thinning.
 
         The profile maximum uses the triangle inequality
-        nu <= 1 + 2 eta sum|gamma_n| (exact bound, so thinning stays exact);
-        the sensitivity maximum comes from a 4096-point grid scan.
+        nu <= 1 + 2 eta sum|gamma_n| (a true bound).  The sensitivity
+        maximum is c's on a 4096-point grid plus its edges (as in
+        expected_count), which need not bound c: simulate raises where a
+        rate exceeds the bound.
         """
         nu_max = 1.0 + 2.0 * self.profile.eta * float(
             np.sum(np.abs(self.profile.coeffs)))
         if self.sensitivity is None:
             c_max = 1.0
         else:
-            grid = np.linspace(0.0, self.T, _NU_GRID)
+            grid = np.append(np.linspace(0.0, self.T, _NU_GRID), np.clip(
+                getattr(self.sensitivity, "edges", ()), 0.0, self.T))
             c_max = float(np.max(self.c(grid)))
         bound = self.mu * c_max * ((1.0 - self.theta) + self.theta * nu_max)
         if not np.isfinite(bound) or bound <= 0:
@@ -153,16 +159,18 @@ def simulate(model, densities, tau=0.0, seed=0):
     n_cand = rng_arrival.poisson(lam_max * model.T)
     t_cand = np.sort(rng_arrival.uniform(0.0, model.T, size=n_cand))
 
-    nu = eval_profile(model.profile, phase_of(model.phase, t_cand) + tau)
+    nu = model.nu(t_cand, tau)
     lam = model.mu * model.c(t_cand) * ((1.0 - model.theta) + model.theta * nu)
     if np.any(~np.isfinite(lam)):
         raise ValueError("non-finite rate encountered")
+    if np.any(lam > lam_max * (1.0 + _RATE_RTOL)):  # thinning would clip it
+        raise ValueError("rate above the bound of rate_bound")
     keep = rng_accept.uniform(size=n_cand) * lam_max < lam
     t = t_cand[keep]
     nu = np.atleast_1d(nu)[keep]
 
-    p_source = model.theta * nu / ((1.0 - model.theta) + model.theta * nu)
-    is_source = rng_label.uniform(size=t.size) < p_source
+    # the posterior source probability, nu and 1 in place of f_S and f_B
+    is_source = rng_label.uniform(size=t.size) < _posterior(model.theta, nu, 1.0)
 
     energy = np.empty(t.size)
     angle = np.empty(t.size)

@@ -167,6 +167,15 @@ class TestValueChecks:
         with pytest.raises(ValueError, match=r":3: weight must be finite"):
             read_events(path)
 
+    def test_negative_weight_names_line(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("# comment\ntime,energy,angle,weight\n1.0,2.0,0.5,0.3\n"
+                        "\n2.0,2.0,0.5,-0.25\n3.0,2.0,0.5,1.0\n")
+        with pytest.raises(ValueError, match=r"ev\.csv:5: weight must be "
+                                             r"finite and nonnegative, got "
+                                             r"-0\.25"):
+            read_events(path)
+
     def test_first_bad_row_and_column_reported(self, tmp_path):
         path = tmp_path / "ev.csv"
         path.write_text("time,energy,angle\n1.0,2.0,-1.0\n"
@@ -272,11 +281,10 @@ class TestSameAsLineParser:
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch,
                                             suffix):
-        """np.loadtxt would decompress such a path; the line parser reads
-        the plain text it holds."""
+        """np.loadtxt would decompress such a path; the readers read the
+        plain text it holds."""
         path = tmp_path / ("ev.csv" + suffix)
         path.write_text(HEAD + "3.0,2.0,0.5\n1.0,1.0,0.25\n")
-        assert eventio._read_columns_fast(path) is None
         ev, _ = read_events(path)
         assert ev.t.tolist() == [1.0, 3.0]
 
@@ -292,7 +300,7 @@ class TestSameAsLineParser:
 
         ev = EventList(t=np.sort(doubles()), energy=np.abs(doubles()),
                        angle=np.abs(doubles()))
-        weights = doubles()
+        weights = np.abs(doubles())  # a negative weight is rejected
         assert np.sum(np.abs(ev.t) < 2.2250738585072014e-308) > 2
         path = tmp_path / "ev.csv"
         write_events(path, ev, weights=weights)

@@ -20,6 +20,7 @@ from photonperiod import (
 )
 from photonperiod import lightcurve
 from photonperiod.auxmodel import DiskGeometry
+from photonperiod.detector import fourier_coefficients
 from photonperiod.lightcurve import _unit_phasors
 
 
@@ -172,6 +173,22 @@ class TestEstimateProfileCoeffs:
         with pytest.raises(ValueError, match="no weighted events"):
             estimate_profile_coeffs(np.linspace(0.0, 10.0, 50), PhaseModel(f=1.3),
                                     m=2, weights=np.zeros(50))
+
+    def test_sums_of_fourier_coefficients_in_any_order(self):
+        """More than one block of events, shuffled: the bits of time order,
+        which are fourier_coefficients' A_n normalized."""
+        rng = np.random.default_rng(5)
+        n = (1 << 16) + 4321
+        t = np.sort(rng.uniform(0.0, 300.0, n))
+        w = rng.uniform(0.0, 1.0, n)
+        model = PhaseModel(f=1.7, fdot=1e-6)
+        want = estimate_profile_coeffs(t, model, m=3, weights=w)
+        an = fourier_coefficients(t, w, model, 3)
+        assert np.array_equal(want.coeffs, an / np.sqrt(np.sum(np.abs(an) ** 2)))
+        order = rng.permutation(n)
+        got = estimate_profile_coeffs(t[order], model, m=3, weights=w[order])
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.eta == 1.0
 
     def test_simulation_round_trip(self):
         phase = PhaseModel(f=7.0)

@@ -69,6 +69,49 @@ class TestRateBound:
         t = np.linspace(0.0, 50.0, 20001)
         assert np.all(m.rate(t, tau=0.37) <= m.rate_bound() + 1e-12)
 
+    def test_narrow_window_is_found_at_its_edges(self):
+        """A window narrower than the grid spacing, between grid points."""
+        m = make_model(50.0, 0.3, 1e4,
+                       sensitivity=sensitivity_window(100.2, 101.0))
+        assert expected_count(m) == pytest.approx(40.0, rel=1e-9)
+        assert m.rate_bound() == pytest.approx(65.0)
+        ev = simulate(m, DENS, seed=1)
+        assert 0 < len(ev) and np.all((ev.t >= 100.2) & (ev.t < 101.0))
+
+    @staticmethod
+    def _bump(edges=True):
+        """5 on [100.2, 101), 1 elsewhere."""
+        def c(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t >= 100.2) & (t < 101.0), 5.0, 1.0)
+        if edges:
+            c.edges = (100.2, 101.0)
+        return c
+
+    def test_narrow_bump_is_found_at_its_edges(self):
+        m = make_model(50.0, 0.0, 1e4, sensitivity=self._bump())
+        assert m.rate_bound() == 250.0
+        ev = simulate(m, DENS, seed=2)
+        inside = np.count_nonzero((ev.t >= 100.2) & (ev.t < 101.0))
+        # 200 expected in the bump; a bound of 50 would clip it to 40
+        assert inside > 150
+
+    def test_rate_above_the_bound_raises(self):
+        m = make_model(50.0, 0.0, 1e4, sensitivity=self._bump(edges=False))
+        assert m.rate_bound() == 50.0  # the grid misses the bump
+        with pytest.raises(ValueError, match="above the bound"):
+            simulate(m, DENS, seed=2)
+
+    def test_rate_at_the_triangle_bound_accepted(self):
+        """One harmonic at its peak at every time (f so small that every
+        phasor is 1 to the last bit), theta = 1: the rate is the bound."""
+        profile = LightCurveProfile(np.array([0.5 + 0j]), eta=1.0)
+        m = RateModel(mu=20.0, theta=1.0, profile=profile,
+                      phase=PhaseModel(f=1e-300), T=10.0)
+        assert np.all(m.rate(np.linspace(0.0, 10.0, 11)) == m.rate_bound())
+        ev = simulate(m, DENS, seed=3)
+        assert len(ev) > 0
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_model(-1.0, 0.2, 10.0)
