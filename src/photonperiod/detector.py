@@ -27,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .auxmodel import _check_support, _posterior, _weight_theta
-from .lightcurve import (_harmonic_sums, _times_and_weights, _unit_phasors,
-                         eval_profile, phase_of)
+from .lightcurve import _harmonic_sums, _unit_phasors, eval_profile, phase_of
 
 __all__ = [
     "DetectionResult",
@@ -64,30 +63,30 @@ class _Canonical(NamedTuple):
     w: np.ndarray
 
 
-def _canonical(times, w):
-    """Times and weights sorted by time, ties by weight: the order in which
-    A_n and sum w^2 are summed, so that no permutation of the events changes
-    a bit of either.  w must be _times_and_weights's.  Input already in that
-    order is returned as it is; input in time order keeps its times, with a
-    copy of w whose tied runs alone are reordered (equal times do not show
-    which of them moved).  The order and the ties are found block by block
-    of _AN_BLOCK events."""
-    ties, ordered = [], True
-    for start in range(0, times.size - 1, _AN_BLOCK):
-        t = times[start:start + _AN_BLOCK + 1]  # each adjacent pair once
-        if not np.all(t[1:] >= t[:-1]):  # false on a nan
-            tw = np.empty(times.shape, dtype=complex)
-            tw.real, tw.imag = times, w
-            tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
-            return _Canonical(tw.real, tw.imag)
-        tie = start + np.flatnonzero(t[1:] == t[:-1])
-        ordered = ordered and np.all(w[tie + 1] >= w[tie])
-        ties.append(tie)
-    if ordered:
+def _canonical(events, weights):
+    """Event times (an EventList or bare times) and their checked weights,
+    sorted by time, ties by weight: the order in which A_n and sum w^2 are
+    summed, so that no permutation of the events changes a bit of either.
+    The weights must be one per event, finite and nonnegative, else
+    ValueError.  Input already in that order is returned as it is; input in
+    time order keeps its times, with a copy of w whose tied runs alone are
+    reordered (equal times do not show which of them moved)."""
+    times = np.asarray(getattr(events, "t", events), dtype=float)
+    times, w = np.atleast_1d(times, np.asarray(weights, dtype=float))
+    if w.shape != times.shape:
+        raise ValueError("events and weights have different lengths")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
+    if not np.all(times[1:] >= times[:-1]):  # false on a nan
+        tw = np.empty(times.shape, dtype=complex)
+        tw.real, tw.imag = times, w
+        tw.sort(kind="stable")  # numpy orders complex numbers by (real, imag)
+        return _Canonical(tw.real, tw.imag)
+    tie = np.flatnonzero(times[1:] == times[:-1])
+    if np.all(w[tie + 1] >= w[tie]):
         return _Canonical(times, w)
     # equal times are adjacent: order the events of tied runs by (t, w),
     # stably, as the full sort would, and leave the rest
-    tie = np.concatenate(ties)
     runs = np.union1d(tie, tie + 1)
     w = w.copy()
     w[runs] = w[runs[np.lexsort((w[runs], times[runs]))]]
@@ -104,7 +103,7 @@ def _sum_w2(w):
 
 def _weighted_events(events, weights):
     """Checked (t, w)-ordered events and sum_j w_j^2 > 0, else ValueError."""
-    ordered = _canonical(*_times_and_weights(events, weights))
+    ordered = _canonical(events, weights)
     sum_w2 = _sum_w2(ordered.w)
     if sum_w2 <= 0:
         raise ValueError("no weighted events")
@@ -203,7 +202,7 @@ def fourier_coefficients(events, weights, model, m):
         raise ValueError("m must be >= 1")
     # detect's events come checked and in (t, w) order
     if not (isinstance(events, _Canonical) and weights is events.w):
-        events = _canonical(*_times_and_weights(events, weights))
+        events = _canonical(events, weights)
     return _an_sums(*events, m, model.f, (model.fdot,), model.epoch)[0, 0]
 
 
@@ -227,7 +226,7 @@ def score_at_tau(events, weights, model, profile, tau):
     The deterministic integral term of the score is dropped; it is negligible
     when phi(T) >> 1 and the sensitivity varies slowly.
     """
-    times, w = _times_and_weights(events, weights)
+    times, w = _canonical(events, weights)
     if times.size == 0:
         return 0.0
     nu = eval_profile(profile, phase_of(model, times) + tau)
@@ -236,7 +235,7 @@ def score_at_tau(events, weights, model, profile, tau):
     return math.fsum(memoryview(w * (np.atleast_1d(nu) - 1.0)))
 
 
-def estimate_theta(z_values, densities, tol=1e-8):
+def estimate_theta(z_values, densities):
     """Maximum-likelihood source fraction from auxiliary data alone.
 
     Maximizes sum_j log D_j over [0, 1], D_j = (1 - theta) f_B(z_j)
@@ -255,13 +254,13 @@ def estimate_theta(z_values, densities, tol=1e-8):
     The bracket is bisected instead where a Newton step would leave it
     through an evaluated end, or where the Newton step before did not halve
     |score|; so, but for the first step after each bisection, every step
-    halves the bracket or |score|.  A Newton step shorter than tol / 2 is
-    stretched to tol / 2, which closes the bracket once Newton has
-    converged.  The result is the Newton estimate from the last point if it
-    lies in the final bracket, whose ends are both evaluated and narrower
-    than tol, or else the bracket's midpoint.
+    halves the bracket or |score|.  A Newton step shorter than _TOL / 2
+    (1e-8 / 2) is stretched to _TOL / 2, which closes the bracket once Newton
+    has converged.  The result is the Newton estimate from the last point if
+    it lies in the final bracket, whose ends are both evaluated and narrower
+    than _TOL, or else the bracket's midpoint.
     """
-    return _theta_mle(*_densities_at(z_values, densities), tol)
+    return _theta_mle(*_densities_at(z_values, densities))
 
 
 def _densities_at(z_values, densities):
@@ -321,14 +320,16 @@ def _score(diff, fb, theta):
         return s, s / h
 
 
-# The theta MLE starts from the MLE of every _SUBSAMPLE-th observation, found
-# to _START_TOL, where there are at least _SUBSAMPLE_MIN observations.
+# The theta MLE is found to _TOL, from the MLE of every _SUBSAMPLE-th
+# observation, found to _START_TOL, where there are at least _SUBSAMPLE_MIN
+# observations.
 _SUBSAMPLE = 64
 _SUBSAMPLE_MIN = 4096
+_TOL = 1e-8
 _START_TOL = 1e-4
 
 
-def _theta_mle(fs, fb, tol=1e-8):
+def _theta_mle(fs, fb):
     """estimate_theta from f_S and f_B at the observations."""
     if fs.size == 0:
         raise ValueError("no observations")
@@ -342,7 +343,7 @@ def _theta_mle(fs, fb, tol=1e-8):
         sub_fb = np.ascontiguousarray(fb[::_SUBSAMPLE])
         if _identifiable(sub_diff, sub_fb):
             start = _newton(sub_diff, sub_fb, start, _START_TOL)
-    return _newton(diff, fb, start, tol)
+    return _newton(diff, fb, start, _TOL)
 
 
 def _newton(diff, fb, theta, tol):

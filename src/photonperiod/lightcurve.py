@@ -128,17 +128,6 @@ def phase_of(model, t):
     return model.f * dt + 0.5 * model.fdot * dt * dt
 
 
-def _times_and_weights(events, weights):
-    """Event times (an EventList or bare times) and their checked weights."""
-    times = np.asarray(getattr(events, "t", events), dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != times.shape:
-        raise ValueError("events and weights have different lengths")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise ValueError("weights must be finite and nonnegative")
-    return times, w
-
-
 # pi = _PI_HI + _PI_LO: _PI_HI is pi to 33 bits, so k _PI_HI is exact for
 # k < 2^20, and _PI_LO (math.pi's remainder plus pi - math.pi) is within
 # 1e-25 of the rest
@@ -245,10 +234,9 @@ def _harmonic_sums(w, z, m):
     6 n u; w z and each multiply add 3 u (Higham, Accuracy and Stability of
     Numerical Algorithms, Lemma 3.5); numpy's blocked pairwise sum adds
     (2 log2 N + 20) u sum_j w_j (section 4.2).  So A_n is within
-    (9 n + 2 log2 N + 20) u sum_j w_j of exact.
+    (9 n + 2 log2 N + 20) u sum_j w_j of exact.  m >= 1: callers take m
+    from fourier_coefficients, which checks it, or from a HarmonicTemplate.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     term = w * z
     an = [term.sum()]
     for _ in range(1, m):

@@ -131,8 +131,9 @@ def _excess(model, densities, harmonics, deltas, mode, replicates, seed, tau):
     powers = np.empty((len(harmonics), len(deltas), replicates))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         ev = simulate(model, densities, tau=tau, seed=child)
-        # unit weights need no check; an empty replicate has no A_n power
-        events = _canonical(ev.t, np.ones(len(ev)))
+        # checked and ordered once for every offset; an empty replicate has
+        # no A_n power
+        events = _canonical(ev, np.ones(len(ev)))
         for j, phase in enumerate(phases):
             an = fourier_coefficients(events, events.w, phase, m)
             # scalar ** 2 (libm pow) and numpy's array x * x can differ

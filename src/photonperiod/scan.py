@@ -69,14 +69,25 @@ class ScanResult:
 
 
 def frequency_grid(spec, T, m):
-    """Frequencies f_lo + k / (oversample m T) up to f_hi, m harmonics."""
+    """Frequencies f_lo + k / (oversample m T) up to f_hi, m harmonics.
+
+    The grid's points, these frequencies times spec's fdot rows, are counted
+    from spec's numbers first: more than spec.max_points raises ValueError
+    before either axis is built."""
     step = 1.0 / (spec.oversample * m * T)
     n = int(np.floor((spec.f_hi - spec.f_lo) / step)) + 1
+    total = n * (1 if np.isscalar(spec.fdot) else int(spec.fdot[2]))
+    if total > spec.max_points:
+        raise ValueError(
+            "grid has %d points (max %d); narrow the range or reduce "
+            "oversampling" % (total, spec.max_points)
+        )
     return spec.f_lo + step * np.arange(n)
 
 
 def scan(events, weights, template, T, spec, epoch=0.0):
-    """Q_T and raw p-value on the (f, fdot) grid.
+    """Q_T and raw p-value on the (f, fdot) grid, whose size frequency_grid
+    checks against spec.max_points before building it.
 
     Raw per-point p-values only; the trials count is reported and no
     multiplicity correction is applied.
@@ -84,11 +95,6 @@ def scan(events, weights, template, T, spec, epoch=0.0):
     freqs = frequency_grid(spec, T, template.m)
     fdots = spec.fdot_values()
     total = freqs.size * fdots.size
-    if total > spec.max_points:
-        raise ValueError(
-            "grid has %d points (max %d); narrow the range or reduce "
-            "oversampling" % (total, spec.max_points)
-        )
     (times, w), sum_w2 = _weighted_events(events, weights)
     # the step from the grid's span: freqs[1] - freqs[0] carries the
     # rounding of freqs[1], which k rotations would multiply by k

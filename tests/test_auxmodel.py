@@ -703,6 +703,38 @@ class TestEfficiency:
             weight_efficiency(m, 0.3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: am.FlatSpectrum(2.0, 1.0), "need e_min < e_max"),
+    (lambda: am.PowerLawSpectrum(2.0, 0.0, 1.0), "need 0 < e_min < e_max"),
+    (lambda: am.PowerLawSpectrum(2.0, 3.0, 1.0), "need 0 < e_min < e_max"),
+    (lambda: DiskGeometry(R=0.0, rho=1.0, alpha_rate=1.0, sigma=0.1), "R > 0"),
+    (lambda: DiskGeometry(R=5.0, rho=-1.0, alpha_rate=1.0, sigma=1.0),
+     "rho >= 0"),
+    (lambda: DiskGeometry(R=5.0, rho=1.0, alpha_rate=0.0, sigma=1.0),
+     "alpha_rate > 0"),
+    (lambda: optimal_weight_fn(1.5, xi1_densities()), r"theta must be in \[0, 1\]"),
+    (lambda: optimal_weight_fn(-0.1, xi1_densities()), r"theta must be in \[0, 1\]"),
+    (lambda: psf_gaussian_weight(1.0, -0.1, xi1_geometry()),
+     "incidence angle must be nonnegative"),
+    (lambda: psf_gaussian_weight(1.0, 0.5, xi1_geometry(),
+                                 (lambda e: 0.0 * e, lambda e: 1.0 + 0.0 * e)),
+     "source spectrum must be positive"),
+    (lambda: cut_weight((1.5, 0.5), {"e_lo": 2.0, "e_hi": 1.0}),
+     "e_lo > e_hi"),
+    (lambda: optimal_efficiency(0.0, xi1_densities()), r"theta must be in \(0, 1\)"),
+    (lambda: optimal_efficiency(1.0, xi1_densities()), r"theta must be in \(0, 1\)"),
+    (lambda: correlation_efficiency(am.constant_weight(0.0), 0.3,
+                                    xi1_densities()), "degenerate weight"),
+], ids=["flat-bounds", "powerlaw-zero-min", "powerlaw-bounds", "geometry-R",
+        "geometry-rho", "geometry-alpha", "theta-above-1", "theta-below-0",
+        "psf-negative-angle", "psf-source-spectrum", "cut-bounds",
+        "optimal-efficiency-0", "optimal-efficiency-1",
+        "correlation-degenerate"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDensities:
     def test_probability_weights_bounded(self):
         dens = xi1_densities()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import photonperiod
-from photonperiod import (DetectionResult, detect, detector, estimate_theta,
-                          read_events, scan, write_events)
+from photonperiod import (DetectionResult, EventList, detect, detector,
+                          estimate_theta, read_events, scan, write_events)
 from photonperiod.auxmodel import (AuxDensityPair, WeightFunction,
                                    cut_weight_fn, optimal_no_spectrum_fn,
                                    optimal_weight_fn, psf_gaussian_weight_fn)
@@ -477,6 +477,28 @@ class TestScanCommand:
         want = "f,fdot,qt,p_value\n" + "".join(
             "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
         assert table.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("T, scan_section", [
+        (1e8, {"f_lo": 1.0, "f_hi": 1000.0}),
+        (100.0, {"f_lo": 1.0, "f_hi": 2.0, "fdot": [0.0, 1e-9, 1e12]}),
+    ], ids=["frequencies", "fdot-steps"])
+    def test_oversized_grid_is_an_error_line(self, tmp_path, capsys, T,
+                                             scan_section):
+        """A grid of terabytes is refused with one error line, before it is
+        built, and no traceback."""
+        doc = base_config(template={"kind": "z", "m": 10}, scan=scan_section)
+        doc["model"]["T"] = T
+        cfg = write_config(tmp_path, doc)
+        events = str(tmp_path / "events.csv")
+        zeros = np.zeros(3)
+        write_events(events, EventList(t=[1.0, 2.0, 3.0], energy=zeros + 1.0,
+                                       angle=zeros))
+        code, out, err = run(capsys, ["scan", "--config", cfg,
+                                      "--events", events])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: grid has ") and "points (max " in err
+        assert "Traceback" not in err
 
     def test_negative_precomputed_weight_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

@@ -135,13 +135,31 @@ def test_section_error_is_not_rewrapped(tmp_path, capsys):
     ("scan", "scan.fdot.hi", {"scan.fdot": [0, float("inf"), 2]}),
     ("power", "template.m", {"template": {"kind": "z", "m": float("inf")}}),
     ("simulate", "model.mu", {"model.mu": 10**400}),
+    ("simulate", "phase.f", {"phase.f": 0.0}),
+    ("power", "template.kind", {"template": {"kind": "sine"}}),
+    ("power", "template.m", {"template": {"kind": "z", "m": 0}}),
+    ("simulate", "model.T", {"model.T": 0.0}),
+    ("simulate", "model.sensitivity.kind",
+     {"model.sensitivity": {"kind": "step"}}),
+    ("simulate", "densities.source_spectrum.kind",
+     {"densities.source_spectrum": {"kind": "line"}}),
+    ("power", "weight.kind", {"weight": {"kind": "magic"}}),
+    ("power", "weight.theta", {"weight": {"kind": "optimal", "theta": 0.0}}),
+    ("power", "weight.theta", {"weight": {"kind": "optimal", "theta": 1.5}}),
+    ("scan", "scan.fdot", {"scan.fdot": [0, 1e-9]}),
+    ("power", "profile.coeffs", {"profile.coeffs": [[0.5, 0.0, 1.0]]}),
+    ("power", "profile.coeffs", {"profile.coeffs": [0.5]}),
+    ("simulate", "phase.f", {"phase": {}}),
 ], ids=["weight-string", "cut-list", "phase-string", "phase-number",
         "fdot-null", "fdot-string", "m-fraction", "f-nan", "fdot-no-steps",
         "amps-object", "amps-null", "amps-nan", "amps-inf", "amps-bool",
         "coeffs-nan", "coeffs-minus-inf", "coeffs-inf-simulate", "coeffs-bool",
         "mu-inf", "T-inf", "fdot-minus-inf", "eta-quantity-inf",
         "weight-theta-inf", "f_hi-inf", "fdot-range-inf", "m-inf",
-        "mu-beyond-double"])
+        "mu-beyond-double", "f-zero", "template-kind", "m-zero", "T-zero",
+        "sensitivity-kind", "spectrum-kind", "weight-kind", "weight-theta-zero",
+        "weight-theta-above-one", "fdot-two", "coeffs-triple",
+        "coeffs-not-pairs", "f-missing"])
 def test_malformed_input_names_its_field(tmp_path, capsys, command, field,
                                          context):
     code, out, err = _run(tmp_path, capsys, command, _doc(context))
@@ -149,6 +167,17 @@ def test_malformed_input_names_its_field(tmp_path, capsys, command, field,
     assert out == ""
     assert re.match(r"config error: config field '%s(\.[a-z_]+)?': "
                     % re.escape(field), err), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "scan", "power", "calibrate"])
+@pytest.mark.parametrize("root", [[], 5.0, "x", None],
+                         ids=["list", "number", "string", "null"])
+def test_root_must_be_an_object(tmp_path, capsys, command, root):
+    code, out, err = _run(tmp_path, capsys, command, root)
+    assert code == 2
+    assert out == ""
+    assert err == ("config error: config field '<root>': config must be a "
+                   "JSON object\n")
 
 
 @pytest.mark.parametrize("edges", [{"e_hi": float("inf")},

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import mpmath
 import numpy as np
@@ -329,6 +330,21 @@ def _disc_sample(n, theta, seed):
     return DENS.pdf_source(e, phi), DENS.pdf_background(e, phi)
 
 
+def _bisections(passes, fs, fb):
+    """The passes, after the first, at the midpoint of the sign bracket
+    that the passes before them left."""
+    lo, hi, hits = 0.0, 1.0, []
+    for i, theta in enumerate(list(passes)):  # score_passes' score appends
+        if i and theta == 0.5 * (lo + hi):
+            hits.append(i)
+        s, _ = detector._score(fs - fb, fb, theta)
+        if s > 0:
+            lo = theta
+        elif s < 0:
+            hi = theta
+    return hits
+
+
 @pytest.fixture
 def score_passes(monkeypatch):
     """score_passes(n): a list that gets the theta of each score pass over
@@ -377,6 +393,41 @@ class TestThetaPasses:
             order = rng.permutation(fs.size)
             theta = estimate_theta((fs[order], fb[order]), Ratios())
             assert abs(theta - root) < 1e-12
+
+    def test_bisects_where_newton_does_not_halve_the_score(self, score_passes):
+        """26 seeded observations: the first Newton step from 1/2 crosses
+        the root to |score| 4.10, more than half of 8.09, so the next pass
+        bisects the bracket; the MLE is still the score's root."""
+        rng = np.random.default_rng(1672)
+        n = int(rng.integers(2, 41))
+        fb = rng.uniform(0.1, 2.0, n)
+        fs = rng.uniform(0.1, 2.0, n)
+        passes = score_passes(n)
+        theta = estimate_theta((fs, fb), Ratios())
+        assert _bisections(passes, fs, fb) != []
+        assert abs(theta - _score_root(fs, fb)) < 1e-12
+
+    @pytest.mark.parametrize("near_one", [False, True], ids=["0", "1"])
+    def test_evaluates_the_end_the_bracket_closed_against(self, score_passes,
+                                                          near_one):
+        """Three observations whose score root is 5e-9 from an end, where
+        the score is concave (near 0) or convex (near 1): Newton's iterates
+        approach the root from the far side without crossing it, until the
+        bracket is narrower than 1e-8 against the end, never evaluated.
+        That end is evaluated last, and the MLE is the score's root."""
+        end = float(near_one)
+        root = abs(end - 5e-9)
+        # d_j / D_j at the root: they sum to 0, and their cubes to the sign
+        # of the score's curvature there
+        x = np.array([0.5, -0.25, -0.25]) * (1.0 if near_one else -1.0)
+        fb = np.ones(3)
+        fs = fb + x / (1.0 - root * x)
+        passes = score_passes(3)
+        theta = estimate_theta((fs, fb), Ratios())
+        assert passes[-1] == end and end not in passes[:-1]
+        assert abs(passes[-2] - end) < 1e-8
+        assert _bisections(passes, fs, fb) == []
+        assert abs(theta - _score_root(fs, fb)) < 1e-12
 
     def test_degenerate_subsample_starts_at_one_half(self, score_passes):
         """f_S = f_B on every 64th event: the subsample says nothing about
@@ -531,6 +582,28 @@ _TAIL_CASES = {
 }
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fourier_coefficients(np.array([0.1]), np.array([1.0]), F0, 0),
+     "m must be >= 1"),
+    (lambda: estimate_theta((np.array([]), np.array([])), DENS),
+     "no observations"),
+    (lambda: p_value(1.0, 1.0, HarmonicTemplate([1.0]), 0.0),
+     "T must be positive"),
+    (lambda: p_value(1.0, 0.0, HarmonicTemplate([1.0]), 1.0),
+     "squared weights must be positive"),
+    # a HarmonicTemplate has a positive power: bare powers reach the check
+    (lambda: p_value(1.0, 1.0, types.SimpleNamespace(amps_sq=np.zeros(2)), 1.0),
+     "all template weights zero"),
+    (lambda: detector.event_weights(
+        EventList(t=[0.5], energy=[1.0], angle=[0.1]), None, theta=0.3),
+     "optimal weights need theta"),
+], ids=["fourier-m", "theta-empty", "p-T", "p-sum-w2", "p-template",
+        "optimal-no-densities"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestExactTail:
     """The null tail against a 100-digit mpmath reference."""
 
@@ -647,6 +720,21 @@ class TestDetect:
                      HarmonicTemplate([1.0]), densities=Counted(), T=100.0)
         assert calls == []
         assert res.theta_used is None
+
+    @pytest.mark.parametrize("theta", [0.3, 0.0])
+    def test_optimal_weights_at_a_known_theta(self, theta):
+        """With theta and densities, event_weights gives the weights of
+        optimal_weight_fn(theta) bit for bit, theta = 0 floored as it floors
+        it, and detect the result of those weights given."""
+        ev = self._events()
+        w, theta_used = detector.event_weights(ev, None, theta, DENS)
+        assert w.tobytes() == optimal_weight_fn(theta, DENS)(*ev.z).tobytes()
+        assert theta_used == theta and np.any(w > 0)
+        args = (PhaseModel(f=5.0), HarmonicTemplate([1.0, 0.5]))
+        res = detect(ev, None, *args, theta=theta, densities=DENS, T=100.0)
+        given = detect(ev, optimal_weight_fn(theta, DENS), *args, theta=theta,
+                       T=100.0)
+        assert _json_line(res) == _json_line(given)
 
     def test_null_not_detected(self):
         ev = self._events(theta=0.0, seed=13)
@@ -886,11 +974,11 @@ def test_detect_checks_and_orders_its_events_once(monkeypatch):
     fourier_coefficients takes them as they are, and gives the bits it
     gives their plain arrays."""
     calls = collections.Counter()
-    for name in ("_times_and_weights", "_canonical"):
-        def counted(*args, fn=getattr(detector, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(detector, name, counted)
+
+    def counted(*args, fn=detector._canonical):
+        calls["_canonical"] += 1
+        return fn(*args)
+    monkeypatch.setattr(detector, "_canonical", counted)
     rng = np.random.default_rng(6)
     n = _AN_BLOCK + 7
     t = np.round(rng.uniform(0.0, 1e3, n), 2)  # ties, most out of order
@@ -899,6 +987,6 @@ def test_detect_checks_and_orders_its_events_once(monkeypatch):
     model, tpl = PhaseModel(f=1.3), HarmonicTemplate([1.0, 0.5])
     res = detect(EventList(t=t, energy=zeros, angle=zeros), w, model, tpl,
                  theta=0.2, T=1e3)
-    assert calls == {"_times_and_weights": 1, "_canonical": 1}
+    assert calls == {"_canonical": 1}
     an = fourier_coefficients(t, w, model, tpl.m)
     assert res.an_sq.tolist() == (np.abs(an) ** 2).tolist()

@@ -146,6 +146,20 @@ class TestTemplateEfficiency:
         assert template_efficiency(tpl, src) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: HarmonicTemplate([]), "at least one harmonic"),
+    (lambda: HarmonicTemplate([1.0, -0.5]), "nonnegative"),
+    (lambda: LightCurveProfile([]), "at least one coefficient"),
+    (lambda: LightCurveProfile([0.1], eta=-1.0), "eta must be nonnegative"),
+    (lambda: template_efficiency(HarmonicTemplate([1.0]), [0.0, 0.0]),
+     "empty spectrum"),
+], ids=["template-empty", "template-negative", "profile-empty",
+        "profile-eta", "efficiency-empty-source"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestEstimateProfileCoeffs:
     def test_single_event(self):
         prof = estimate_profile_coeffs(np.array([0.0]), PhaseModel(f=1.0), m=2)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ class TestThresholdTheta:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             threshold_theta(100.0, 5.0, 1.0, TPL, SRC, target_snr=-1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a HarmonicTemplate has a positive power: bare powers reach the check
+    (lambda: predicted_snr(0.1, 100.0, 5.0, 1.0,
+                           types.SimpleNamespace(amps_sq=np.zeros(2)), SRC),
+     "empty template"),
+    (lambda: mismatch_scan(_model(), DENS, [0, 1], [0.1], replicates=2),
+     "harmonics must be >= 1"),
+], ids=["empty-template", "harmonic-below-1"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _model(theta=1.0, mu=50.0, T=200.0, gamma=0.45):

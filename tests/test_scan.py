@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,24 @@ class TestGrid:
         t = np.array([0.5])
         with pytest.raises(ValueError, match="grid"):
             scan(t, np.array([1.0]), HarmonicTemplate([1.0]), 100.0, spec)
+
+    @pytest.mark.parametrize("spec, T, m", [
+        (ScanSpec(f_lo=1.0, f_hi=1000.0), 1e8, 10),
+        (ScanSpec(f_lo=1.0, f_hi=2.0, fdot=(0.0, 1e-9, 10**12)), 100.0, 1),
+    ], ids=["frequencies", "fdot-steps"])
+    def test_grid_counted_before_it_is_built(self, spec, T, m):
+        """A grid past max_points is refused from the spec's numbers: about
+        1e13 frequencies, or 1e3 frequencies times 1e12 fdot rows, would
+        need terabytes, and the refusal allocates under 1 MB."""
+        t = np.array([0.5])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"grid has \d+ points \(max "):
+                scan(t, np.array([1.0]), HarmonicTemplate.z_test(m), T, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestScanResult:

@@ -112,6 +112,23 @@ class TestRateBound:
         ev = simulate(m, DENS, seed=3)
         assert len(ev) > 0
 
+    @pytest.mark.parametrize("model, message", [
+        (make_model(50.0, 0.3, 10.0, sensitivity=sensitivity_constant(0.0)),
+         "degenerate rate bound"),
+        (make_model(50.0, 0.3, 10.0,
+                    sensitivity=sensitivity_constant(np.inf)),
+         "non-finite or degenerate rate bound"),
+        # phase overflows past t = 1.4: the rate is nan there
+        pytest.param(RateModel(mu=50.0, theta=0.3,
+                               profile=LightCurveProfile(np.array([0.5 + 0j])),
+                               phase=PhaseModel(f=1.0, fdot=1e308), T=10.0),
+                     "non-finite rate encountered",
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ], ids=["zero-bound", "infinite-bound", "nan-rate"])
+    def test_rate_checks(self, model, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(model, DENS, seed=1)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_model(-1.0, 0.2, 10.0)
