@@ -10,7 +10,6 @@ from .auxmodel import (
     WeightFunction,
     WeightMoments,
     correlation_efficiency,
-    cut_weight,
     cut_weight_fn,
     optimal_efficiency,
     optimal_no_spectrum_fn,

@@ -46,7 +46,6 @@ __all__ = [
     "cut_weight_fn",
     "optimal_weight",
     "psf_gaussian_weight",
-    "cut_weight",
     "weight_moments",
     "weight_efficiency",
     "optimal_efficiency",
@@ -487,7 +486,7 @@ class WeightFunction:
 
 
 def unit_weight():
-    return WeightFunction(lambda e, phi: np.ones(np.broadcast(e, phi).shape))
+    return constant_weight(1.0)
 
 
 def constant_weight(c):
@@ -585,28 +584,19 @@ def psf_gaussian_weight_fn(geom, spectra=None):
         lambda e, phi: psf_gaussian_weight(e, phi, geom, spectra))
 
 
-def cut_weight(z, cut):
-    """Indicator weight: 1 iff E in [e_lo, e_hi] and phi <= phi_max (closed)."""
-    e_lo, e_hi = cut.get("e_lo", -np.inf), cut.get("e_hi", np.inf)
-    phi_max = cut.get("phi_max", np.inf)
-    if e_lo > e_hi:
-        raise ValueError("cut has e_lo > e_hi")
-    e, phi = z
-    e = np.asarray(e, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = ((e >= e_lo) & (e <= e_hi) & (phi <= phi_max)).astype(float)
-    return out if out.ndim else float(out)
-
-
 def cut_weight_fn(e_lo=-np.inf, e_hi=np.inf, phi_max=np.inf):
-    cut = {"e_lo": e_lo, "e_hi": e_hi, "phi_max": phi_max}
+    """Indicator weight: 1 iff E in [e_lo, e_hi] and phi <= phi_max (closed),
+    edges checked once, here.  Its jumps are e_lo and the floats just above
+    e_hi and phi_max, the infinite edges left out."""
     if e_lo > e_hi:
         raise ValueError("cut has e_lo > e_hi")
     # the closed upper edges step just above themselves
     jumps = tuple(tuple(float(x) for x in edges if np.isfinite(x))
                   for edges in ((e_lo, np.nextafter(e_hi, np.inf)),
                                 (np.nextafter(phi_max, np.inf),)))
-    return WeightFunction(lambda e, phi: cut_weight((e, phi), cut), jumps)
+    return WeightFunction(
+        lambda e, phi: ((e >= e_lo) & (e <= e_hi) & (phi <= phi_max)).astype(float),
+        jumps)
 
 
 # ---------------------------------------------------------------------------

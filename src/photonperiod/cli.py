@@ -20,7 +20,7 @@ import numpy as np
 
 from . import auxmodel, detector, eventio, lightcurve, power, simulator
 from .config import Config, ConfigError, load_config
-from .scan import scan as run_scan
+from .scan import frequency_grid, scan as run_scan
 
 __all__ = ["main"]
 
@@ -138,22 +138,24 @@ def _weights(cfg, events, file_weights):
 
 def cmd_detect(args):
     cfg = load_config(args.config)
-    phase, template, model = cfg.phase(), cfg.template(), cfg.model()
+    template, model = cfg.template(), cfg.model()
     events, file_weights = eventio.read_events(args.events)
     w, theta = _weights(cfg, events, file_weights)
-    result = detector.detect(events, w, phase, template, theta=theta, T=model.T)
+    result = detector.detect(events, w, model.phase, template, theta=theta,
+                             T=model.T)
     print(_json_line(result))
     return 0
 
 
 def cmd_scan(args):
     cfg = load_config(args.config)
-    template, model = cfg.template(), cfg.model()
-    spec = cfg.scan_spec(model.T)
+    template, model, spec = cfg.template(), cfg.model(), cfg.scan_spec()
+    # an oversized grid is refused before any event is read or weighted
+    frequency_grid(spec, model.T, template.m)
     events, file_weights = eventio.read_events(args.events)
     w, _ = _weights(cfg, events, file_weights)
     result = run_scan(events, w, template, model.T, spec,
-                      epoch=cfg.phase().epoch)
+                      epoch=model.phase.epoch)
     if args.out:
         eventio._write_csv(args.out, ["f", "fdot", "qt", "p_value"],
                            [result.f, result.fdot, result.qt, result.p])
@@ -197,13 +199,13 @@ def _calibrate_chunk(doc, seed, start, stop, replicates):
     # the null hypothesis: the configured model with a constant light curve
     model = dataclasses.replace(cfg.model(),
                                 profile=lightcurve.LightCurveProfile.constant())
-    densities, phase, template = cfg.densities(), cfg.phase(), cfg.template()
+    densities, template = cfg.densities(), cfg.template()
     wf = cfg.weight(model.theta)
     children = np.random.SeedSequence(seed).spawn(replicates)
     pvals, scaled, qts = [], [], []
     for i in range(start, stop):
         ev = simulator.simulate(model, densities, tau=0.0, seed=children[i])
-        r = detector.detect(ev, wf, phase, template, T=model.T)
+        r = detector.detect(ev, wf, model.phase, template, T=model.T)
         pvals.append(r.p_value)
         scaled.append(2.0 * r.an_sq / r.sum_w2)
         qts.append(r.qt)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import auxmodel, lightcurve, simulator
-from .scan import ScanSpec
+from .scan import _DEFAULT_MAX_POINTS, ScanSpec
 
 __all__ = ["ConfigError", "Config", "load_config"]
 
@@ -248,7 +248,7 @@ class Config:
             return build(th, self.densities())
         raise ConfigError("weight.kind", "unknown kind %r" % kind)
 
-    def scan_spec(self, T):
+    def scan_spec(self):
         sec = self._root.section("scan")
         fdot = sec.get("fdot", 0.0)
         if isinstance(fdot, list):
@@ -262,7 +262,7 @@ class Config:
             return ScanSpec(
                 f_lo=sec.number("f_lo"), f_hi=sec.number("f_hi"), fdot=fdot,
                 oversample=sec.number("oversample", 10.0),
-                max_points=sec.integer("max_points", 10**7))
+                max_points=sec.integer("max_points", _DEFAULT_MAX_POINTS))
 
 
 def load_config(path):

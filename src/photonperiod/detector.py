@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .auxmodel import _check_support, _posterior, _weight_theta
-from .lightcurve import _harmonic_sums, _unit_phasors, eval_profile, phase_of
+from .lightcurve import (_harmonic_sums, _phase, _unit_phasors, eval_profile,
+                         phase_of)
 
 __all__ = [
     "DetectionResult",
@@ -155,32 +156,28 @@ def _map_blocks(fn, n, rows=1):
     return results
 
 
-# phase_of's model of one _an_sums row: not a PhaseModel, whose f > 0 check
-# would reject a scan grid from f <= 0
-_Row = NamedTuple("_Row", [("f", float), ("fdot", float), ("epoch", float)])
-
-
 def _an_sums(times, w, m, f0, fdots, epoch, step=0.0, k=1):
     """A_n, n = 1..m, at f0 + i step, i < k, for each fdot, shape
     (len(fdots), k, m), of events in _canonical's order.
 
-    One _map_blocks task per (fdot, block of B = 2^16 events) takes a unit
-    phasor z_j per event at phase_of (f0, fdot, epoch) and, for k > 1,
-    rotates it by e^{2 pi i step (t_j - epoch)} from point to point; A_n is
-    the recurrence z^n (lightcurve._harmonic_sums).  A row's block sums are
-    added in block order, so no worker count changes a bit.  A block's sum
-    is within (9 n + 2 log2 B + 20) u of its sum_j w_j (u = 2^-53), each
-    rotation adds at most 16 u while step |t - epoch| <= 1, and adding the
+    One _map_blocks task per (fdot, block of B = 2^16 events) forms
+    dt_j = t_j - epoch once, takes a unit phasor z_j per event at the phase
+    lightcurve._phase(f0, fdot, dt_j) and, for k > 1, rotates it by
+    e^{2 pi i step dt_j} from point to point; A_n is the recurrence z^n
+    (lightcurve._harmonic_sums).  A row's block sums are added in block
+    order, so no worker count changes a bit.  A block's sum is within
+    (9 n + 2 log2 B + 20) u of its sum_j w_j (u = 2^-53), each rotation
+    adds at most 16 u while step |t - epoch| <= 1, and adding the
     block sums (N / B + 1) u sum_j w_j: at a row's i-th point A_n is within
     ((9 + 16 i) n + 2 log2 min(N, B) + 21 + N / B) u sum_j w_j of exact at
     the rounded first phase plus i step (t - epoch)."""
 
     def block_sums(row, block):
-        t, wb = times[block], w[block]
-        z = _unit_phasors(phase_of(_Row(f0, fdots[row], epoch), t))
+        dt, wb = times[block] - epoch, w[block]
+        z = _unit_phasors(_phase(f0, fdots[row], dt))
         if k == 1:
             return _harmonic_sums(wb, z, m)
-        rot = _unit_phasors(step * (t - epoch))
+        rot = _unit_phasors(step * dt)
         an = np.empty((k, m), dtype=complex)
         for i in range(k):
             an[i] = _harmonic_sums(wb, z, m)
@@ -251,12 +248,12 @@ def estimate_theta(z_values, densities):
     and f_B differ on those; else from 1/2.  The score at 0 or 1 is
     evaluated only where an iterate would leave the bracket through that
     end, or the bracket closes against it.
-    The bracket is bisected instead where a Newton step would leave it
-    through an evaluated end, or where the Newton step before did not halve
-    |score|; so, but for the first step after each bisection, every step
-    halves the bracket or |score|.  A Newton step shorter than _TOL / 2
-    (1e-8 / 2) is stretched to _TOL / 2, which closes the bracket once Newton
-    has converged.  The result is the Newton estimate from the last point if
+    A Newton step shorter than _TOL / 2 (1e-8 / 2) is stretched to _TOL / 2,
+    which closes the bracket once Newton has converged.  The bracket is
+    bisected instead where that step would leave it through an evaluated
+    end, or where the Newton step before did not halve |score|; so, but for
+    the first step after each bisection, every step halves the bracket or
+    |score|.  The result is the Newton estimate from the last point if
     it lies in the final bracket, whose ends are both evaluated and narrower
     than _TOL, or else the bracket's midpoint.
     """
@@ -364,18 +361,19 @@ def _newton(diff, fb, theta, tol):
             hi, hi_seen = theta, True
         else:
             return float(theta)
-        step = theta + newton
         if hi - lo < tol:
             if lo_seen and hi_seen:
+                step = theta + newton
                 return float(step if lo <= step <= hi else 0.5 * (lo + hi))
             # an end the bracket closed against: evaluate it
             theta, bound = (hi if lo_seen else lo), np.inf
+            continue
+        # a step shorter than tol / 2 is stretched to tol / 2, past the root
+        # if Newton is right, so that the bracket closes
+        step = theta + math.copysign(max(abs(newton), 0.5 * tol), newton)
         # theta is lo or hi; the tests fail on a nan or infinite step too
-        elif lo < step < hi and abs(s) <= bound:
-            bound = 0.5 * abs(s)
-            # a step shorter than tol / 2 is stretched to tol / 2, past the
-            # root if Newton is right, so that the bracket closes
-            theta += math.copysign(max(abs(newton), 0.5 * tol), newton)
+        if lo < step < hi and abs(s) <= bound:
+            theta, bound = step, 0.5 * abs(s)
         elif step <= lo and not lo_seen:
             theta, bound = lo, np.inf
         elif step >= hi and not hi_seen:

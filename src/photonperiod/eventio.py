@@ -38,6 +38,7 @@ import os
 import threading
 import warnings
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -111,6 +112,15 @@ def read_events(path):
     ev = EventList(t=columns["time"], energy=columns["energy"],
                    angle=columns["angle"])
     return ev, columns.get("weight")
+
+
+def _data_lines(lines):
+    """(line number, stripped line) of each line that is neither blank nor a
+    '#' comment: the header, then the data rows."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _header(path, lineno, line):
@@ -360,13 +370,10 @@ def _read_columns_fast(path):
                 if any(c in chunk for c in _NUMPY_ONLY_SPACE):
                     return None
         with open(path) as fh:  # text mode: the lines of _read_columns
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    names = _header(path, lineno, line)  # errors: see _read_columns
-                    break
-            else:
+            header = next(_data_lines(fh), None)
+            if header is None:
                 return None
+            names = _header(path, *header)  # errors: see _read_columns
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy warns on no rows
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
@@ -382,10 +389,7 @@ def _read_columns(path):
     t, energy, angle, weight = [], [], [], []
     names = None
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(fh):
             if names is None:
                 names = _header(path, lineno, line)
                 continue
@@ -436,11 +440,6 @@ def _check_values(path, columns):
 
 def _data_lineno(path, row):
     """Line number of the row-th (0-based) data row of an event CSV."""
-    left = row + 1  # the header is the first non-comment line
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                if not left:
-                    return lineno
-                left -= 1
+        # the header is the first non-comment line
+        return next(islice(_data_lines(fh), row + 1, None))[0]

@@ -123,9 +123,14 @@ class PhaseModel:
 
 
 def phase_of(model, t):
-    """Cumulative phase at time t, in cycles.  Not reduced mod 1."""
-    dt = np.asarray(t, dtype=float) - model.epoch
-    return model.f * dt + 0.5 * model.fdot * dt * dt
+    """Cumulative phase at time t, in cycles, the model's _phase at
+    t - epoch.  Not reduced mod 1."""
+    return _phase(model.f, model.fdot, np.asarray(t, dtype=float) - model.epoch)
+
+
+def _phase(f, fdot, dt):
+    """f dt + fdot dt^2 / 2: the phase, in cycles, dt after the epoch."""
+    return f * dt + 0.5 * fdot * dt * dt
 
 
 # pi = _PI_HI + _PI_LO: _PI_HI is pi to 33 bits, so k _PI_HI is exact for

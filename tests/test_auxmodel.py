@@ -13,7 +13,6 @@ from photonperiod.auxmodel import (
     UniformDiscAngle,
     WeightFunction,
     correlation_efficiency,
-    cut_weight,
     cut_weight_fn,
     optimal_efficiency,
     optimal_no_spectrum_fn,
@@ -170,13 +169,13 @@ class TestPsfGaussianWeight:
 
 class TestCutWeight:
     def test_inside(self):
-        assert cut_weight((1.0, 0.5), {"e_lo": 0.5, "e_hi": 2.0, "phi_max": 1.0}) == 1.0
+        assert cut_weight_fn(e_lo=0.5, e_hi=2.0, phi_max=1.0)(1.0, 0.5) == 1.0
 
     def test_angle_excluded(self):
-        assert cut_weight((1.0, 1.5), {"e_lo": 0.5, "e_hi": 2.0, "phi_max": 1.0}) == 0.0
+        assert cut_weight_fn(e_lo=0.5, e_hi=2.0, phi_max=1.0)(1.0, 1.5) == 0.0
 
     def test_boundary_included(self):
-        assert cut_weight((2.0, 1.0), {"e_lo": 0.5, "e_hi": 2.0, "phi_max": 1.0}) == 1.0
+        assert cut_weight_fn(e_lo=0.5, e_hi=2.0, phi_max=1.0)(2.0, 1.0) == 1.0
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -719,8 +718,7 @@ class TestEfficiency:
     (lambda: psf_gaussian_weight(1.0, 0.5, xi1_geometry(),
                                  (lambda e: 0.0 * e, lambda e: 1.0 + 0.0 * e)),
      "source spectrum must be positive"),
-    (lambda: cut_weight((1.5, 0.5), {"e_lo": 2.0, "e_hi": 1.0}),
-     "e_lo > e_hi"),
+    (lambda: cut_weight_fn(e_lo=2.0, e_hi=1.0), "e_lo > e_hi"),
     (lambda: optimal_efficiency(0.0, xi1_densities()), r"theta must be in \(0, 1\)"),
     (lambda: optimal_efficiency(1.0, xi1_densities()), r"theta must be in \(0, 1\)"),
     (lambda: correlation_efficiency(am.constant_weight(0.0), 0.3,

@@ -246,7 +246,7 @@ class TestOnePipeline:
                                       "--events", events])
         assert code == 0, err
         w = optimal_weight_fn(0.0, dens)(*ev.z)
-        res = scan(ev, w, config.template(), 100.0, config.scan_spec(100.0))
+        res = scan(ev, w, config.template(), 100.0, config.scan_spec())
         assert json.loads(out) == res.best
 
     def test_theta_mle_of_zero_in_four_score_passes(self, tmp_path, capsys,
@@ -308,7 +308,7 @@ class TestOnePipeline:
         config = Config(doc)
         ev, w = read_events(events)
         res = scan(ev, library(ev, w, config), config.template(), 100.0,
-                   config.scan_spec(100.0))
+                   config.scan_spec())
         assert out.strip() == json.dumps(res.best)
 
 
@@ -470,7 +470,7 @@ class TestScanCommand:
         config = Config(doc)
         ev, _ = read_events(events)
         res = scan(ev, np.ones(len(ev)), config.template(), 100.0,
-                   config.scan_spec(100.0))
+                   config.scan_spec())
         assert res.trials > 3 and len(set(res.fdot.tolist())) == 3
         rows = zip(res.f.tolist(), res.fdot.tolist(), res.qt.tolist(),
                    res.p.tolist())
@@ -482,23 +482,28 @@ class TestScanCommand:
         (1e8, {"f_lo": 1.0, "f_hi": 1000.0}),
         (100.0, {"f_lo": 1.0, "f_hi": 2.0, "fdot": [0.0, 1e-9, 1e12]}),
     ], ids=["frequencies", "fdot-steps"])
+    @pytest.mark.parametrize("missing", [False, True],
+                             ids=["events", "no-events-file"])
     def test_oversized_grid_is_an_error_line(self, tmp_path, capsys, T,
-                                             scan_section):
+                                             scan_section, missing):
         """A grid of terabytes is refused with one error line, before it is
-        built, and no traceback."""
-        doc = base_config(template={"kind": "z", "m": 10}, scan=scan_section)
+        built, and no traceback; before the event file is read, too, so
+        neither a missing file nor the theta MLE of optimal weights shows."""
+        doc = base_config(template={"kind": "z", "m": 10}, scan=scan_section,
+                          weight={"kind": "optimal"})
         doc["model"]["T"] = T
         cfg = write_config(tmp_path, doc)
         events = str(tmp_path / "events.csv")
-        zeros = np.zeros(3)
-        write_events(events, EventList(t=[1.0, 2.0, 3.0], energy=zeros + 1.0,
-                                       angle=zeros))
+        if not missing:
+            zeros = np.zeros(3)
+            write_events(events, EventList(t=[1.0, 2.0, 3.0],
+                                           energy=zeros + 1.0, angle=zeros))
         code, out, err = run(capsys, ["scan", "--config", cfg,
                                       "--events", events])
         assert code == 1
         assert out == ""
         assert err.startswith("error: grid has ") and "points (max " in err
-        assert "Traceback" not in err
+        assert "theta MLE" not in err and "Traceback" not in err
 
     def test_negative_precomputed_weight_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

@@ -205,7 +205,7 @@ def test_integral_float_is_an_integer():
                 "scan.max_points": {"value": 1e4}, "scan.fdot": [0, 1e-9, 2.0]})
     cfg = Config(doc)
     assert cfg.template().m == 3
-    spec = cfg.scan_spec(100.0)
+    spec = cfg.scan_spec()
     assert spec.max_points == 10**4 and spec.fdot == (0.0, 1e-9, 2)
 
 
@@ -258,4 +258,4 @@ def test_readme_example_reads_in_every_section():
     assert cfg.weight_kind() == "optimal"
     assert cfg.detect_theta() == 0.3
     assert cfg.weight() is not None
-    assert cfg.scan_spec(model.T).f_lo == 4.95
+    assert cfg.scan_spec().f_lo == 4.95

@@ -407,6 +407,20 @@ class TestThetaPasses:
         assert _bisections(passes, fs, fb) != []
         assert abs(theta - _score_root(fs, fb)) < 1e-12
 
+    def test_converged_step_is_stretched_not_bisected(self, score_passes):
+        """38 seeded observations whose 4th pass lands on the score's root:
+        the Newton step from there rounds away, so it is the step stretched
+        to 1e-8 / 2 that is tested against the bracket and taken, which
+        closes it, with no halving of the bracket down to 1e-8."""
+        rng = np.random.default_rng(15)
+        n = int(rng.integers(2, 41))
+        fb = rng.uniform(0.1, 2.0, n)
+        fs = rng.uniform(0.1, 2.0, n)
+        passes = score_passes(n)
+        theta = estimate_theta((fs, fb), Ratios())
+        assert n == 38 and len(passes) <= 6
+        assert abs(theta - _score_root(fs, fb)) < 1e-12
+
     @pytest.mark.parametrize("near_one", [False, True], ids=["0", "1"])
     def test_evaluates_the_end_the_bracket_closed_against(self, score_passes,
                                                           near_one):
