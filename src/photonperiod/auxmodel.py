@@ -14,8 +14,9 @@ child's end gap), so a cut edge is found in a few passes, not one bisection
 per bit.  Both integrals start from breakpoints: the ends of the densities'
 supports and the weight's jumps, so a cut converges in the passes a smooth
 weight takes (QUADPACK's dqagp).  A cut weight carries its edges
-(WeightFunction.jumps).  Any other weight is probed for them first: the
-probe reads the weight on a coarse (E, phi) grid whose end probes lie 1e-9
+(WeightFunction.jumps), and a weight built from closed-form parts declares
+it has none.  A weight of unknown shape is probed for them first: the probe
+reads the weight on a coarse (E, phi) grid whose end probes lie 1e-9
 of the width inside the ends, and narrows each bracket where a value jumps
 to within floating-point resolution (_breakpoints).  The jumps it finds at
 one place on two probe lines are breakpoints, so an edge in an end gap,
@@ -367,6 +368,9 @@ class AuxDensityPair:
     are normalized in closed form.  A CustomSpectrum must integrate to 1
     over its support, and a CustomAngle at 5 energies across its energy
     marginal's support, each within 1e-6, or ValueError is raised.
+    jumps, as WeightFunction.jumps, is ((), ()) when every part is closed
+    form (a GaussianPsfAngle's sigma a number): then f_S, f_B and their
+    posteriors step only at the supports' ends.  Otherwise None, unknown.
     """
 
     source_energy: object
@@ -393,6 +397,12 @@ class AuxDensityPair:
                     raise ValueError(
                         "angle conditional at E=%.4g integrates to %.8f, not 1"
                         % (e, total))
+
+    @property
+    def jumps(self):
+        closed = (FlatSpectrum, PowerLawSpectrum, UniformDiscAngle, GaussianPsfAngle)
+        return ((), ()) if all(isinstance(p, closed) and not callable(getattr(
+            p, "sigma", None)) for p in vars(self).values()) else None
 
     def pdf_source(self, e, phi):
         return self.source_energy.pdf(e) * self.source_angle.pdf(phi, e)
@@ -473,8 +483,9 @@ class WeightFunction:
     whatever the other variable: weight_moments' integrals start from them.
     Each is the least float at which w takes its value above the step, where
     the probe would locate it, so that the moments equal those of w probed.
-    None where they are not known, and the integrals probe w for its jumps
-    (_breakpoints).
+    Cuts give their edges; constant, PSF (numeric sigma, no spectra) and
+    optimal weights on closed-form densities give ((), ()).  None where they
+    are not known, and the integrals probe w for its jumps (_breakpoints).
     """
 
     fn: callable
@@ -491,7 +502,7 @@ def unit_weight():
 
 def constant_weight(c):
     return WeightFunction(
-        lambda e, phi: np.full(np.broadcast(e, phi).shape, float(c)))
+        lambda e, phi: np.full(np.broadcast(e, phi).shape, float(c)), ((), ()))
 
 
 # Posterior weights are built at theta >= _THETA_FLOOR.  At a theta MLE of 0
@@ -540,7 +551,7 @@ def optimal_weight_fn(theta, densities):
     """optimal_weight as a WeightFunction; theta in [0, 1], floored at 1e-12."""
     theta = _weight_theta(theta)
     return WeightFunction(
-        lambda e, phi: optimal_weight((e, phi), theta, densities))
+        lambda e, phi: optimal_weight((e, phi), theta, densities), densities.jumps)
 
 
 def optimal_no_spectrum_fn(theta, densities):
@@ -548,7 +559,7 @@ def optimal_no_spectrum_fn(theta, densities):
     theta = _weight_theta(theta)
     return WeightFunction(lambda e, phi: _checked_posterior(
         theta, densities.source_angle.pdf(phi, e),
-        densities.background_angle.pdf(phi, e)))
+        densities.background_angle.pdf(phi, e)), densities.jumps)
 
 
 def psf_gaussian_weight(e, phi, geom, spectra=None):
@@ -580,8 +591,9 @@ def psf_gaussian_weight(e, phi, geom, spectra=None):
 
 
 def psf_gaussian_weight_fn(geom, spectra=None):
-    return WeightFunction(
-        lambda e, phi: psf_gaussian_weight(e, phi, geom, spectra))
+    smooth = spectra is None and not callable(geom.sigma)
+    return WeightFunction(lambda e, phi: psf_gaussian_weight(e, phi, geom, spectra),
+                          ((), ()) if smooth else None)
 
 
 def cut_weight_fn(e_lo=-np.inf, e_hi=np.inf, phi_max=np.inf):
@@ -786,8 +798,9 @@ def _expectations(g, densities, jumps=None):
 def weight_moments(w, theta, densities):
     """beta1, beta2, zeta1, zeta2 by nested adaptive Gauss-Kronrod integrals
     (_integral), one call of w per pass of the inner angle integral, from
-    w's jumps where it carries them (WeightFunction.jumps), else after one
-    call of w per step of the probe for them (_breakpoints)."""
+    w's jumps where it declares them (WeightFunction.jumps: cuts, and the
+    smooth weights built from closed-form parts), else, for a weight of
+    unknown shape, after one call of w per step of the probe (_breakpoints)."""
 
     def g(e, p):
         v = w(e, p)
@@ -814,7 +827,8 @@ def optimal_efficiency(theta, densities):
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
     _, (zeta1,) = _expectations(
-        lambda e, p: (optimal_weight((e, p), theta, densities),), densities)
+        lambda e, p: (optimal_weight((e, p), theta, densities),), densities,
+        densities.jumps)
     return float(zeta1) / theta
 
 

@@ -401,30 +401,106 @@ class TestIntegral:
 
     @pytest.mark.parametrize("weight, most", [
         (lambda: cut_weight_fn(phi_max=2.0), 16),
-        (lambda: am.psf_gaussian_weight_fn(xi1_geometry()), 8),
-        (lambda: optimal_weight_fn(0.1, benchmark_power_densities()), 8),
+        (lambda: am.psf_gaussian_weight_fn(xi1_geometry()), 4),
+        (lambda: optimal_weight_fn(0.1, benchmark_power_densities()), 4),
     ], ids=["angle-cut", "psf", "optimal"])
     def test_benchmark_weight_calls(self, weight, most):
-        """The benchmark's other weights: 2, 5 and 5 calls, the angle cut
-        from its edge and the smooth weights after the probe.  The bounds
-        are at most twice the 22, 4 and 4 calls taken with neither edges nor
-        probe, so the probe costs a smooth weight at most as many again."""
+        """The benchmark's other weights: 2, 4 and 4 calls, the angle cut
+        from its edge and the smooth weights from their declared absence of
+        jumps, without the probe.  The smooth weights' bounds are these 4
+        calls, taken with neither edges nor probe; the angle cut's still
+        holds the 13 calls of its bare callable, probed."""
         assert benchmark_weight_calls(weight()) <= most
 
 
-def benchmark_weight_calls(wf):
-    """Calls of wf by weight_moments on the power benchmark's densities, whose
-    moments must equal those of wf uncounted."""
+def benchmark_weight_calls(wf, densities=benchmark_power_densities):
+    """Calls of wf by weight_moments on the densities (by default the power
+    benchmark's), whose moments must equal those of wf uncounted."""
     calls = []
 
     def counted(e, phi):
         calls.append(np.size(e))
         return wf(e, phi)
 
-    m = weight_moments(WeightFunction(counted, wf.jumps), 0.1,
-                       benchmark_power_densities())
-    assert m == weight_moments(wf, 0.1, benchmark_power_densities())
+    m = weight_moments(WeightFunction(counted, wf.jumps), 0.1, densities())
+    assert m == weight_moments(wf, 0.1, densities())
     return len(calls)
+
+
+def sigma_fn_geometry():
+    """The power benchmark's geometry, its sigma = 1 given as a function of E."""
+    return DiskGeometry(R=5.0, rho=1.0 / (2.0 * np.pi), alpha_rate=1.0,
+                        sigma=lambda e: np.ones(np.shape(e)))
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts the calls of the jump probe, _breakpoints."""
+    calls = []
+    probe = am._breakpoints
+
+    def counted(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(am, "_breakpoints", counted)
+    return calls
+
+
+DENSITIES = pytest.mark.parametrize(
+    "densities", [benchmark_power_densities, xi1_densities],
+    ids=["power-benchmark", "xi1"])
+
+
+class TestDeclaredJumps:
+    """Weights built from closed-form parts declare that they have no jumps,
+    and their integrals skip the probe; weights of unknown shape are probed."""
+
+    @DENSITIES
+    @pytest.mark.parametrize("build", [
+        lambda dens: unit_weight(),
+        lambda dens: am.psf_gaussian_weight_fn(xi1_geometry()),
+        lambda dens: optimal_weight_fn(0.1, dens),
+        lambda dens: optimal_no_spectrum_fn(0.1, dens),
+    ], ids=["unit", "psf", "optimal", "optimal-no-spectrum"])
+    def test_moments_equal_the_probed_ones(self, build, densities, probes):
+        """The probe finds no jump inside their supports: the moments equal
+        those of the weight as a bare callable, probed, bit for bit."""
+        dens = densities()
+        wf = build(dens)
+        assert dens.jumps == wf.jumps == ((), ())
+        assert weight_moments(wf, 0.1, dens) == weight_moments(bare(wf), 0.1, dens)
+        assert len(probes) == 1  # the bare callable's
+
+    @DENSITIES
+    def test_optimal_efficiency_equals_the_probed_one(self, densities, probes):
+        dens = densities()
+        _, (zeta1,) = am._expectations(
+            lambda e, p: (optimal_weight((e, p), 0.1, dens),), dens)
+        assert optimal_efficiency(0.1, dens) == float(zeta1) / 0.1
+        assert len(probes) == 1  # the probed reference's
+
+    @pytest.mark.parametrize("weight, densities", [
+        (lambda dens: optimal_weight_fn(0.1, dens),
+         lambda: flat_pair(1.0, 3.0, 2.0, 5.0)),
+        (lambda dens: optimal_weight_fn(0.1, dens),
+         lambda: sigma_fn_geometry().density_pair(
+             am.PowerLawSpectrum(2.0, 1.0, 5.0), am.PowerLawSpectrum(2.7, 1.0, 5.0))),
+        (lambda dens: am.psf_gaussian_weight_fn(sigma_fn_geometry()),
+         benchmark_power_densities),
+        (lambda dens: am.psf_gaussian_weight_fn(
+            xi1_geometry(), (lambda e: e**-2.0, lambda e: e**-2.7)),
+         benchmark_power_densities),
+    ], ids=["custom-densities", "sigma-fn-densities", "psf-sigma-fn",
+            "psf-spectra"])
+    def test_weights_of_unknown_shape_are_probed(self, weight, densities, probes):
+        """Custom densities, a sigma(E) or spectra given as functions may
+        step anywhere: such a weight's jumps are unknown, None, and it is
+        probed, in more calls than the 4 of a smooth weight without it."""
+        wf = weight(densities())
+        assert wf.jumps is None
+        assert benchmark_weight_calls(wf, densities) > 4
+        assert len(probes) == 2  # the counted and the uncounted moments
 
 
 def gk_nodes(a, b):
