@@ -13,13 +13,15 @@ side of it (never at a node next to it, where a cut edge could hide in the
 child's end gap), so a cut edge is found in a few passes, not one bisection
 per bit.  Both integrals start from breakpoints: the ends of the densities'
 supports and the weight's jumps, so a cut converges in the passes a smooth
-weight takes (QUADPACK's dqagp).  A cut weight carries its edges
-(WeightFunction.jumps), and a weight built from closed-form parts declares
-it has none.  A weight of unknown shape is probed for them first: the probe
-reads the weight on a coarse (E, phi) grid whose end probes lie 1e-9
-of the width inside the ends, and narrows each bracket where a value jumps
-to within floating-point resolution (_breakpoints).  The jumps it finds at
-one place on two probe lines are breakpoints, so an edge in an end gap,
+weight takes (QUADPACK's dqagp).  Where no jump can lie inside a piece
+(closed-form densities, every jump a breakpoint) a one-piece integral starts as
+three pieces, wasting no first pass (_integral's start rule).  A cut weight
+carries its edges (WeightFunction.jumps), and a weight built from closed-form
+parts declares it has none.  A weight of unknown shape is probed for them
+first: the probe reads the weight on a coarse (E, phi) grid whose end probes
+lie 1e-9 of the width inside the ends, and narrows each bracket where a value
+jumps to within floating-point resolution (_breakpoints).  The jumps it finds
+at one place on two probe lines are breakpoints, so an edge in an end gap,
 which no node of the first pass sees, is found unless it lies within the
 probe's end offset.
 """
@@ -59,6 +61,11 @@ _RTOL = 1e-9
 _ATOL = 1e-13
 # Most intervals one integral may hold; past it the integral has not converged.
 _MAX_INTERVALS = 10_000
+# Equal pieces a one-piece integral starts from under _integral's start rule.
+# One Kronrod piece over a whole support seldom meets _RTOL, and a discarded
+# outer pass costs a whole inner integral: on the power benchmark (2 vCPUs),
+# 3 pieces cut the PSF and optimal weights' calls from 4 to 1 and op_s 45 %.
+_START_PIECES = 3
 
 # The 21-point Kronrod rule on [-1, 1] (QUADPACK dqk21): nodes, weights, and
 # the weights of the 10-point Gauss rule it embeds at the odd-indexed nodes.
@@ -139,12 +146,15 @@ def _unconverged(total, total_err):
         % (np.max(total_err), np.max(np.abs(total))))
 
 
-def _integral(fn, a, b, points=()):
+def _integral(fn, a, b, points=(), split_start=False):
     """Integral over [a, b] of fn(x), an array per node of the 1-D array x.
 
     Adaptive 21-point Gauss-Kronrod by levels, from the pieces of [a, b]
     between the breakpoints points (QUADPACK's dqagp): those strictly inside
-    (a, b) are used, once each, and the rest ignored.  Each pass splits every
+    (a, b) are used, once each, and the rest ignored.  The start rule,
+    split_start, starts a one-piece [a, b] as _START_PIECES equal pieces, off
+    by default: each piece's end gaps hide a jump from every node, so it is
+    for integrands whose jumps are all breakpoints.  Each pass splits every
     interval whose error, in any component, exceeds that interval's width
     share of the tolerance _ATOL + _RTOL |estimate|, and evaluates fn once at
     all the new nodes.  An interval is cut around its largest step between
@@ -165,6 +175,8 @@ def _integral(fn, a, b, points=()):
     inside = points[(a < points) & (points < b)]
     # each once, without np.unique, whose first call imports numpy.ma
     edges = np.concatenate([[a], inside[np.diff(inside, prepend=a) > 0], [b]])
+    if split_start and edges.size == 2:
+        edges = np.linspace(a, b, _START_PIECES + 1)
     lo, hi = edges[:-1], edges[1:]
     est, err, step, shape = _gauss_kronrod(fn, lo, hi)
     while True:
@@ -658,6 +670,12 @@ def _steps(vals, live, scale):
     return np.where(live[..., 1:] & live[..., :-1], d.max(axis=0), 0.0)
 
 
+class _Breakpoints(tuple):
+    """Energy and angle breakpoints, a pair; whole is False where the probe
+    declined a jump that it located, which may then lie inside a piece."""
+    whole = True
+
+
 def _breakpoints(values, ranges, ends):
     """Breakpoints of the integrals along energy and along angle: the ends
     of the densities' supports on each axis, ends, and the jumps of g found
@@ -684,7 +702,9 @@ def _breakpoints(values, ranges, ends):
     taken.  Not found: a jump within the end offset of an end, a jump whose
     bracket holds a larger change or a second jump, and a jump that moves
     along the other axis, which the integrals find as before.  Returns the
-    energy and angle breakpoints.
+    energy and angle breakpoints as _Breakpoints, not whole where a located
+    jump failed the probe-line test: an edge that moves, or one seen on one
+    line while the lines beside it see others.
     """
     grid = []
     for a, b in ranges:
@@ -726,7 +746,7 @@ def _breakpoints(values, ranges, ends):
         keep &= ~located
         axis, line, lo, hi, diff = (x[keep] for x in (axis, line, lo, hi, diff))
     found_axis, found_line, found_at = map(np.concatenate, zip(*found))
-    points = []
+    points, whole = [], True
     for ax in (0, 1):
         on = found_axis == ax
         at, first, lines = np.unique(found_at[on], return_index=True,
@@ -736,10 +756,14 @@ def _breakpoints(values, ranges, ends):
         busy = np.pad(np.bincount(found_line[on], minlength=_PROBES), 1)
         k = found_line[on][first]
         kept = list(ends[ax])
-        for x in at[(lines >= 2) | ((busy[k] == 0) & (busy[k + 2] == 0))]:
+        taken = (lines >= 2) | ((busy[k] == 0) & (busy[k + 2] == 0))
+        whole &= bool(taken.all())
+        for x in at[taken]:
             if np.all(np.abs(x - np.array(kept)) > _APART * np.spacing(abs(x))):
                 kept.append(x)
         points.append(np.array(kept))
+    points = _Breakpoints(points)
+    points.whole = whole
     return points
 
 
@@ -752,8 +776,11 @@ def _expectations(g, densities, jumps=None):
     Both start from the pieces between their breakpoints: the ends of the
     densities' supports and the jumps of g, ((energies), (angles)) as in
     WeightFunction.jumps, or where jumps is None those the probe finds
-    (_breakpoints), so a cut's edges are not hunted by every integral.  g is
-    evaluated not where both densities vanish.  Returns shape (2, k).
+    (_breakpoints), so a cut's edges are not hunted by every integral.  Both
+    take _integral's start rule where no jump can lie inside a piece: the
+    densities are closed form (AuxDensityPair.jumps), and g's jumps declared
+    or none that the probe located declined, one rule for g declared and
+    probed.  g is evaluated not where both densities vanish.  Returns (2, k).
     """
     pdfs = (densities.pdf_background, densities.pdf_source)
     lows, highs = zip(densities.background_energy.support,
@@ -786,13 +813,16 @@ def _expectations(g, densities, jumps=None):
 
     ends = (lows + highs, r_maxes)
     if jumps is None:
-        e_points, phi_points = _breakpoints(
+        points = _breakpoints(
             lambda e, phi: weight_values(e, phi)[1:], (e_range, phi_range), ends)
     else:
-        e_points, phi_points = (end + tuple(jump) for end, jump in zip(ends, jumps))
+        points = _Breakpoints(end + tuple(jump) for end, jump in zip(ends, jumps))
+    split_start = points.whole and densities.jumps == ((), ())
+    e_points, phi_points = points
     return _integral(
-        lambda e: _integral(lambda phi: integrand(phi, e), *phi_range, phi_points),
-        *e_range, e_points)
+        lambda e: _integral(lambda phi: integrand(phi, e), *phi_range, phi_points,
+                            split_start),
+        *e_range, e_points, split_start)
 
 
 def weight_moments(w, theta, densities):
